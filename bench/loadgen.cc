@@ -184,6 +184,10 @@ void RunConn(const Options& opts, size_t idx, ConnStats* out) {
   std::unordered_map<uint64_t, uint64_t> inflight;  // request_id -> sched_ns
   std::vector<uint8_t> outbuf;
   size_t out_off = 0;
+  // End offset in outbuf of each counted (post-warmup) request not yet
+  // fully accepted by the socket; `sent` counts the ones it accepted.
+  std::vector<size_t> unsent_ends;
+  size_t unsent_head = 0;
   uint64_t next_request_id = 1;
 
   const double per_conn_rate = opts.rate / static_cast<double>(opts.connections);
@@ -256,8 +260,11 @@ void RunConn(const Options& opts, size_t idx, ConnStats* out) {
       const uint64_t rid = next_request_id++;
       // Warmup sends carry sched=0 so their responses are not recorded.
       inflight[rid] = next_arrival < warmup_end ? 0 : next_arrival;
-      if (next_arrival >= warmup_end) st.scheduled++;
       source.Append(&outbuf, rid);
+      if (next_arrival >= warmup_end) {
+        st.scheduled++;
+        unsent_ends.push_back(outbuf.size());
+      }
       next_arrival += next_gap_ns();
     }
     // 2. Push pending bytes (never blocks).
@@ -272,9 +279,16 @@ void RunConn(const Options& opts, size_t idx, ConnStats* out) {
       }
       out_off += static_cast<size_t>(k);
     }
+    while (unsent_head < unsent_ends.size() &&
+           unsent_ends[unsent_head] <= out_off) {
+      st.sent++;
+      unsent_head++;
+    }
     if (out_off >= outbuf.size()) {
       outbuf.clear();
       out_off = 0;
+      unsent_ends.clear();
+      unsent_head = 0;
     }
     // 3. Drain responses.
     while (!dead) {
@@ -306,7 +320,6 @@ void RunConn(const Options& opts, size_t idx, ConnStats* out) {
   for (const auto& [rid, sched] : inflight) {
     if (sched != 0) st.unanswered++;
   }
-  st.sent = st.scheduled;  // everything scheduled was written or counted
   close(fd);
   *out = std::move(st);
 }
@@ -412,10 +425,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "workload=%s rate=%.0f/s x %.1fs (%zu conns): scheduled=%llu "
-      "acked=%llu committed=%llu (%.1f/s) aborted=%llu exhausted=%llu "
+      "sent=%llu acked=%llu committed=%llu (%.1f/s) aborted=%llu "
+      "exhausted=%llu "
       "shed=%llu (%.1f%%) unanswered=%llu proto_err=%llu\n",
       opts.workload.c_str(), opts.rate, secs, opts.connections,
       static_cast<unsigned long long>(all.scheduled),
+      static_cast<unsigned long long>(all.sent),
       static_cast<unsigned long long>(all.acked),
       static_cast<unsigned long long>(all.committed), goodput,
       static_cast<unsigned long long>(all.user_aborted),
@@ -435,13 +450,16 @@ int main(int argc, char** argv) {
   std::printf(
       "RUNJSON {\"bench\":\"serve_%s\",\"engine\":\"%s\",\"window\":0,"
       "\"seconds\":%.6f,\"committed\":%llu,\"tps\":%.1f,"
-      "\"arrival_rate\":%.1f,\"achieved_rps\":%.1f,\"acked\":%llu,"
+      "\"arrival_rate\":%.1f,\"scheduled\":%llu,\"sent\":%llu,"
+      "\"achieved_rps\":%.1f,\"acked\":%llu,"
       "\"shed\":%llu,\"shed_fraction\":%.6f,\"exhausted\":%llu,"
       "\"unanswered\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f,"
       "\"p999_us\":%.1f,\"acked_p50_us\":%.1f,\"acked_p99_us\":%.1f}\n",
       opts.workload.c_str(), opts.engine.c_str(), secs,
       static_cast<unsigned long long>(all.committed), goodput, opts.rate,
-      achieved, static_cast<unsigned long long>(all.acked),
+      static_cast<unsigned long long>(all.scheduled),
+      static_cast<unsigned long long>(all.sent), achieved,
+      static_cast<unsigned long long>(all.acked),
       static_cast<unsigned long long>(shed), shed_fraction,
       static_cast<unsigned long long>(all.exhausted),
       static_cast<unsigned long long>(all.unanswered),

@@ -398,6 +398,7 @@ class Mv3cTransaction {
       for (PredicateBase* f : frontier) f->ClearChildren();
       for (PredicateBase* node : removed) pool_.Destroy(node);
     }
+    inner_.DropPrunedVersions();
     // Re-execute the frontier closures (lines 12-14); order is irrelevant
     // because frontier nodes are independent.
     for (PredicateBase* f : frontier) {

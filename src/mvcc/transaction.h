@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/column_mask.h"
@@ -146,13 +147,25 @@ class Transaction {
   }
 
   /// Unlinks and retires one version (MV3C repair pruning, Algorithm 2
-  /// lines 7 and 10: "remove them from the undo buffer").
+  /// lines 7 and 10). Unlinking marks the version dead; DropPrunedVersions
+  /// then removes every version pruned this round from the undo buffer in
+  /// one pass.
   void PruneVersion(VersionBase* v) {
-    auto it = std::find(undo_.begin(), undo_.end(), v);
-    MV3C_CHECK(it != undo_.end());
-    undo_.erase(it);
     v->object()->Unlink(v);
     Retire(v);
+    ++pruned_;
+  }
+
+  /// Removes the versions PruneVersion marked dead from the undo buffer,
+  /// keeping the order of the rest ("remove them from the undo buffer").
+  /// Reading the dead versions' timestamps is safe: this transaction is
+  /// still registered, so the GC grace period keeps every version it
+  /// retired allocated.
+  void DropPrunedVersions() {
+    const size_t dropped = std::erase_if(
+        undo_, [](const VersionBase* v) { return v->dead(); });
+    MV3C_CHECK(dropped == pruned_);  // every pruned version was ours
+    pruned_ = 0;
   }
 
   /// Commits all versions at `commit_ts`: enforces Definition 2.2 (only
@@ -160,6 +173,12 @@ class Transaction {
   /// performs the §2.4.1 move where needed, and returns the recently-
   /// committed record (nullptr for read-only transactions). Must be called
   /// from inside the manager's commit critical section.
+  ///
+  /// O(n log n) in the write-set size: one sort of (object, undo index)
+  /// pairs groups each object's versions, then one reverse pass over the
+  /// undo buffer publishes or drops each version. The scratch vectors are
+  /// members reused across commits, so once warm the only allocation left
+  /// is the record's own version array.
   CommittedRecord* PublishCommit(Timestamp commit_ts) {
     if (undo_.empty()) return nullptr;
     auto* rec = arena().Create<CommittedRecord>();
@@ -170,33 +189,38 @@ class Transaction {
     // its mask for validation purposes is the union, and columns outside
     // the union are merged from the latest committed version (making
     // partial-column writes compose with concurrent committers).
-    std::vector<std::pair<DataObjectBase*, ColumnMask>> effects;
-    effects.reserve(undo_.size());
-    for (VersionBase* v : undo_) {
-      auto it = std::find_if(effects.begin(), effects.end(),
-                             [v](const auto& e) { return e.first == v->object(); });
-      if (it == effects.end()) {
-        effects.push_back({v->object(), v->modified_columns()});
-      } else {
-        it->second |= v->modified_columns();
-      }
+    const uint32_t n = static_cast<uint32_t>(undo_.size());
+    by_object_.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      by_object_.push_back({undo_[i]->object(), i});
     }
-    std::vector<DataObjectBase*> seen;
-    seen.reserve(effects.size());
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      VersionBase* v = *it;
-      if (std::find(seen.begin(), seen.end(), v->object()) != seen.end()) {
+    std::sort(by_object_.begin(), by_object_.end(),
+              [](const WriteRef& x, const WriteRef& y) {
+                if (x.object != y.object) {
+                  return std::less<const DataObjectBase*>()(x.object,
+                                                            y.object);
+                }
+                return x.index < y.index;
+              });
+    outcome_.resize(n);
+    for (uint32_t b = 0, e = 0; b < n; b = e) {
+      ColumnMask effect;
+      for (e = b; e < n && by_object_[e].object == by_object_[b].object; ++e) {
+        effect |= undo_[by_object_[e].index]->modified_columns();
+        outcome_[by_object_[e].index].survives = false;
+      }
+      outcome_[by_object_[e - 1].index] = {effect, true};  // the newest
+    }
+    for (uint32_t i = n; i-- > 0;) {
+      VersionBase* v = undo_[i];
+      if (!outcome_[i].survives) {
         // An older version of an object we already committed the newest
         // version for: it never becomes visible (Definition 2.2).
         v->object()->Unlink(v);
         Retire(v);
         continue;
       }
-      seen.push_back(v->object());
-      const ColumnMask effect =
-          std::find_if(effects.begin(), effects.end(),
-                       [v](const auto& e) { return e.first == v->object(); })
-              ->second;
+      const ColumnMask effect = outcome_[i].effect;
       if (!v->is_insert() && !v->tombstone() &&
           effect != ColumnMask::All()) {
         const VersionBase* base = v->object()->LatestCommitted();
@@ -267,11 +291,26 @@ class Transaction {
   void MaybeTruncateChain(DataObjectBase* obj);
   VersionArena& arena() const;
 
+  /// PublishCommit scratch: the write set sorted by object, and per undo
+  /// index whether the version survives and, if so, its object's union
+  /// mask.
+  struct WriteRef {
+    DataObjectBase* object;
+    uint32_t index;
+  };
+  struct Outcome {
+    ColumnMask effect;
+    bool survives;
+  };
+
   TransactionManager* mgr_;
   Timestamp start_ts_ = 0;
   Timestamp txn_id_ = 0;
   uint32_t slot_ = ~0u;
   std::vector<VersionBase*> undo_;
+  size_t pruned_ = 0;  // PruneVersion calls not yet dropped from undo_
+  std::vector<WriteRef> by_object_;
+  std::vector<Outcome> outcome_;
   Timestamp validated_up_to_ = 0;
   wal::LogBuffer* wal_buffer_ = nullptr;
   uint64_t wal_epoch_ = 0;

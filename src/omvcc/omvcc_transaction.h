@@ -242,6 +242,7 @@ class OmvccExecutor {
     if (txn_.ReadOnly()) {
       txn_.manager()->CommitReadOnly(&txn_.inner());
       last_commit_ts_ = txn_.inner().start_ts();
+      last_commit_durable_ = true;  // nothing to log
       ++txn_.stats().commits;
       txn_.ClearPredicates();
       MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, txn_.inner().txn_id());
@@ -275,7 +276,7 @@ class OmvccExecutor {
       MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, txn_.inner().txn_id());
       // Outside the kCommit timer: the group-commit wait is epoch-scale
       // and would swamp the commit-phase histogram.
-      (void)txn_.manager()->WalWaitDurable(&txn_.inner());
+      last_commit_durable_ = txn_.manager()->WalWaitDurable(&txn_.inner());
       return StepResult::kCommitted;
     }
     return FailValidation();
@@ -308,6 +309,9 @@ class OmvccExecutor {
     return const_cast<OmvccExecutor*>(this)->txn_.stats();
   }
   Timestamp last_commit_ts() const { return last_commit_ts_; }
+  /// False iff the last commit's durability wait failed (see
+  /// Mv3cExecutor::last_commit_durable).
+  bool last_commit_durable() const { return last_commit_durable_; }
   uint32_t attempts() const { return ctrl_.attempts(); }
 
  private:
@@ -343,6 +347,7 @@ class OmvccExecutor {
   OmvccTransaction txn_;
   Program program_;
   Timestamp last_commit_ts_ = 0;
+  bool last_commit_durable_ = true;
   // Executor registries are single-threaded; recording skips the lock.
   // timed_metrics_ is the per-transaction sampling decision (Begin()).
   obs::MetricsRegistry metrics_{obs::RecordSync::kUnsynchronized};

@@ -155,7 +155,7 @@ void Server::WorkerLoop(size_t worker_id) {
       switch (r.status) {
         case TxnStatus::kCommitted:
           Bump(stats_.txn_committed);
-          if (host_->sync_ack()) rh.flags |= kRespFlagDurable;
+          if (r.durable) rh.flags |= kRespFlagDurable;
           break;
         case TxnStatus::kUserAborted:
           Bump(stats_.txn_user_aborted);

@@ -70,6 +70,7 @@ class HostBase : public WorkloadHost {
                                : wal::WalConfig::Ack::kAsync;
       cfg.partitions = opts_.wal_partitions;
       mgr_.EnableWal(cfg);
+      sync_ack_ = opts_.sync_ack;
     }
 #endif
     workers_.reserve(opts_.workers);
@@ -81,7 +82,6 @@ class HostBase : public WorkloadHost {
 
   const char* engine() const override { return EngineName<Executor>(); }
   size_t workers() const override { return opts_.workers; }
-  bool sync_ack() const override { return opts_.wal && opts_.sync_ack; }
 
   Result Run(size_t worker_id, uint16_t opcode, const uint8_t* params,
              size_t param_bytes) override {
@@ -110,6 +110,7 @@ class HostBase : public WorkloadHost {
       case StepResult::kCommitted:
         res.status = TxnStatus::kCommitted;
         res.commit_ts = e.last_commit_ts();
+        res.durable = sync_ack_ && e.last_commit_durable();
         break;
       case StepResult::kUserAborted:
         res.status = TxnStatus::kUserAborted;
@@ -164,6 +165,9 @@ class HostBase : public WorkloadHost {
   TransactionManager mgr_;
 
  private:
+  /// Commits wait for the WAL fsync before they are answered; false
+  /// without a WAL (including builds with the WAL compiled out).
+  bool sync_ack_ = false;
   struct Worker {
     std::unique_ptr<Executor> exec;
     uint64_t completions = 0;

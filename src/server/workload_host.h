@@ -46,6 +46,10 @@ class WorkloadHost {
     TxnStatus status = TxnStatus::kBadRequest;
     uint64_t commit_ts = 0;
     uint32_t rounds = 0;
+    /// Committed under sync ack and the WAL made the commit durable before
+    /// Run returned (the response's kRespFlagDurable). False when the log
+    /// crashed or its fsync failed first.
+    bool durable = false;
   };
 
   virtual ~WorkloadHost() = default;
@@ -53,7 +57,6 @@ class WorkloadHost {
   virtual const char* workload() const = 0;
   virtual const char* engine() const = 0;
   virtual size_t workers() const = 0;
-  virtual bool sync_ack() const = 0;
 
   /// Cheap opcode/size validation for the I/O thread: a request whose
   /// opcode or parameter size does not match this host is rejected as

@@ -118,7 +118,10 @@ class TradingDb {
 
   void Load() {
     Mv3cExecutor loader(mgr_);
-    // Chunked loading keeps the undo buffer bounded.
+    // 4096-row chunks cap one load transaction's undo buffer, committed
+    // record and WAL staging buffer, and fix the commit boundaries that
+    // recovered digests and WAL bytes depend on. (Commit is linear in the
+    // write set, so the chunking saves no time.)
     for (uint64_t base = 0; base < n_securities_; base += 4096) {
       loader.MustRun([&](Mv3cTransaction& t) {
         const uint64_t end = std::min(n_securities_, base + 4096);

@@ -643,6 +643,46 @@ TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
   EXPECT_NE(rs[0].flags & kRespFlagDurable, 0u);
   server.Stop();
 }
+
+// A sync-ack commit whose WAL fsync fails is still committed in memory,
+// but the log crashed before it became durable: its response must not
+// claim durability, and neither may any later commit's.
+TEST(ServerWalTest, FailedFsyncCommitsComeBackWithoutDurableFlag) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
+  ServerOptions o = SmallBankingOptions();
+  o.host.wal = true;
+  o.host.sync_ack = true;
+  o.host.wal_dir = testing::TempDir() + "/serve_wal_fsync_fail_" +
+                   std::to_string(::getpid());
+  Server server(o);
+  ASSERT_TRUE(server.Start());
+  TestClient c(server.port());
+  std::vector<uint8_t> wire;
+  AppendRequest(&wire, 1, Op::kBankingTransfer, MakeTransfer(7, 8));
+  c.SendRaw(wire);
+  auto rs = c.ReadResponses(1, 10000);
+  ASSERT_EQ(rs.size(), 1u);
+  ASSERT_EQ(rs[0].status, static_cast<uint16_t>(TxnStatus::kCommitted));
+  ASSERT_NE(rs[0].flags & kRespFlagDurable, 0u);
+
+  failpoint::Reset(7);
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, {});
+  constexpr uint64_t kN = 8;
+  wire.clear();
+  for (uint64_t i = 2; i < 2 + kN; ++i) {
+    AppendRequest(&wire, i, Op::kBankingTransfer,
+                  MakeTransfer(static_cast<int64_t>(i), 100));
+  }
+  c.SendRaw(wire);
+  rs = c.ReadResponses(kN, 10000);
+  ASSERT_EQ(rs.size(), kN);
+  for (const ResponseHeader& rh : rs) {
+    EXPECT_EQ(rh.status, static_cast<uint16_t>(TxnStatus::kCommitted));
+    EXPECT_EQ(rh.flags & kRespFlagDurable, 0u) << "request " << rh.request_id;
+  }
+  EXPECT_GT(failpoint::Trips(failpoint::Site::kWalFsyncFail), 0u);
+  server.Stop();
+}
 #endif
 
 }  // namespace
