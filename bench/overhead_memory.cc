@@ -6,21 +6,18 @@
 // implementation and the overall overhead weighted by the standard mix's
 // version counts.
 //
-// Since ISSUE 2 it additionally *measures* allocator behavior: a short
-// Banking window run under each engine, reporting throughput together with
-// the VersionArena counters (slabs created/retired/recycled, bytes bump-
-// allocated, peak held bytes) as one JSON line per engine, so the perf
-// trajectory (BENCH_*.json) can track protocol memory overhead separately
-// from allocator churn. Build with -DMV3C_ARENA=OFF for the raw-new
-// baseline: the arena counters read zero and the throughput delta is the
-// allocator's share.
+// It also *measures* allocator behavior: a short Banking window run under
+// each engine, reporting throughput together with the VersionArena
+// counters (slabs created/retired/recycled, bytes bump-allocated, peak held
+// bytes) as one JSON line per engine, so the perf trajectory
+// (BENCH_*.json) can track protocol memory overhead separately from
+// allocator churn.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "bench/runners.h"
 #include "mvcc/version.h"
-#include "mvcc/version_arena.h"
 #include "workloads/tpcc.h"
 
 namespace {
@@ -37,15 +34,14 @@ struct TableEntry {
 
 void PrintArenaJson(const char* engine, const mv3c::bench::RunResult& r) {
   std::printf(
-      "{\"bench\":\"overhead_memory\",\"engine\":\"%s\","
-      "\"arena_enabled\":%s,\"window\":8,"
+      "{\"bench\":\"overhead_memory\",\"engine\":\"%s\",\"window\":8,"
       "\"tps\":%.0f,\"committed\":%llu,"
       "\"versions_discarded\":%llu,"  // native counter via the obs registry
       "\"arena_slabs_created\":%llu,\"arena_slabs_retired\":%llu,"
       "\"arena_slabs_recycled\":%llu,\"arena_allocations\":%llu,"
       "\"arena_bytes_bumped\":%llu,\"arena_peak_held_bytes\":%llu,"
       "\"arena_retirements_deferred\":%llu}\n",
-      engine, mv3c::kVersionArenaEnabled ? "true" : "false", r.Tps(),
+      engine, r.Tps(),
       static_cast<unsigned long long>(r.committed),
       static_cast<unsigned long long>(r.Counter("versions_discarded")),
       static_cast<unsigned long long>(r.arena_slabs_created),
@@ -110,9 +106,7 @@ int main() {
   // just creation) shows up in the counters below.
   setup.accounts = 100;
   setup.n_txns = full ? 200000 : 20000;
-  std::printf("\n# version allocator churn, Banking window 8 "
-              "(MV3C_ARENA=%s)\n",
-              kVersionArenaEnabled ? "ON" : "OFF");
+  std::printf("\n# version allocator churn, Banking window 8\n");
   const RunResult mv3c_run = RunBankingMv3c(/*window=*/8, setup);
   const RunResult omvcc_run = RunBankingOmvcc(/*window=*/8, setup);
   PrintArenaJson("mv3c", mv3c_run);

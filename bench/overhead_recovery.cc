@@ -13,7 +13,7 @@
 //                  but constant-size at every multiple.
 //
 // The acceptance bar for ISSUE 6: as history grows >= 10x, genesis grows
-// with it while ckpt-suffix stays flat. Only built with -DMV3C_WAL=ON.
+// with it while ckpt-suffix stays flat.
 
 #include <filesystem>
 #include <string>

@@ -55,7 +55,7 @@ struct RunResult {
   /// MV3C but validation failures for OMVCC) are gone: benches now ask for
   /// the counter they mean by its native name via Counter().
   obs::MetricsSnapshot metrics;
-  // VersionArena counters (zero for SV engines and -DMV3C_ARENA=OFF):
+  // VersionArena counters (zero for SV engines):
   // allocator churn reported separately from protocol cost (ISSUE 2).
   uint64_t arena_slabs_created = 0;
   uint64_t arena_slabs_retired = 0;

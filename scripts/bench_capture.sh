@@ -36,7 +36,7 @@ done
 # drive bench/loadgen open-loop against it; the loadgen's RUNJSON (keyed
 # serve_<workload>, carrying arrival_rate / shed_fraction / p99) joins the
 # baseline alongside the in-process benches. Skipped silently when either
-# binary is absent (e.g. a WAL-off tree that never built the server).
+# binary is absent (e.g. a tree where only some targets were built).
 SERVE_BIN="$BUILD_DIR/src/server/mv3c_serve"
 LOADGEN_BIN="$BUILD_DIR/bench/loadgen"
 if [ -x "$SERVE_BIN" ] && [ -x "$LOADGEN_BIN" ]; then

@@ -264,7 +264,7 @@ class Transaction {
   }
   void ResetValidationWatermark() { validated_up_to_ = start_ts_; }
 
-  // --- durability hooks (inert pointers/flags when -DMV3C_WAL=OFF) ---
+  // --- durability hooks (inert while the manager's WAL is disabled) ---
 
   /// Per-worker WAL staging buffer; the manager's commit path creates one
   /// lazily for this transaction context and reuses it across Begins.

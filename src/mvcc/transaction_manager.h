@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "common/epoch_clock.h"
 #include "common/failpoint.h"
@@ -15,12 +16,7 @@
 #include "mvcc/transaction.h"
 #include "mvcc/version_arena.h"
 #include "obs/metrics.h"
-
-#if defined(MV3C_WAL_ENABLED)
-#include <memory>
-
 #include "wal/log_mvcc.h"
-#endif
 
 namespace mv3c {
 
@@ -198,15 +194,31 @@ class TransactionManager {
 
   /// Draws a fresh start timestamp for a transaction staying in the
   /// repair path (validation failed during pre-validation, outside the
-  /// commit critical section). Keeps the validation watermark. Lock-free:
-  /// the transaction's slot stays registered throughout, so no reclaim
+  /// commit critical section). Keeps the validation watermark, so the new
+  /// start must cover it: repair re-reads at the new start, and the final
+  /// validation skips every record at or below the watermark. Lock-free
+  /// unless pre-validation ran ahead of a committer (below): the
+  /// transaction's slot stays registered throughout, so no reclaim
   /// watermark can pass its (old, smaller) start while the new one is
   /// adopted — the trim-floor check Begin needs is unnecessary here.
-  void Retimestamp(Transaction* t) {
+  void Retimestamp(Transaction* t) MV3C_EXCLUDES(commit_lock_) {
     // Delay/yield injection point: widens the window between a failed
     // pre-validation and the repair round so concurrent commits can slip
     // in (the repeated-invalidation schedule the chaos tests force).
     (void)MV3C_FAILPOINT(failpoint::Site::kRetimestamp);
+    // Pre-validation reads rc_head, which a committer links before its
+    // hwm store. If it covered such a record, hwm + 1 is still below the
+    // record's commit timestamp: a start drawn now would not see the
+    // record's versions, repair would re-read the values it overwrote,
+    // and the final validation would skip it as already validated — a
+    // lost update. The committer holds commit_lock_ until its hwm store,
+    // so taking the lock waits it out.
+    if (commit_hwm_.load(std::memory_order_seq_cst) + 1 <
+        t->validated_up_to()) {
+      SpinLockGuard g(commit_lock_);
+      RetimestampLocked(t);
+      return;
+    }
     RefreshStartTs(t);
   }
 
@@ -352,7 +364,6 @@ class TransactionManager {
   /// The shared epoch counter (commit-TID epochs + WAL flush rounds).
   EpochClock& epoch_clock() { return epoch_clock_; }
 
-#if defined(MV3C_WAL_ENABLED)
   /// Turns on durability: commits of WAL-registered tables serialize their
   /// final write set into the group-commit log (DESIGN §5f), whose flush
   /// rounds advance this manager's epoch clock — redo-block epoch tags and
@@ -365,20 +376,16 @@ class TransactionManager {
   /// Joins the writer thread and closes the log (final flush included).
   void DisableWal() { wal_.reset(); }
   wal::LogManager* wal() { return wal_.get(); }
-#endif
 
   /// Blocks until `t`'s last commit is durable per the configured ack mode
   /// (a shared group-commit wait under sync ack, a no-op under async ack).
-  /// Compiled in every build: without WAL it returns true immediately, so
-  /// executors call it unconditionally. Returns false iff the log crashed
-  /// before the commit became durable.
+  /// Without an enabled WAL it returns true immediately, so executors call
+  /// it unconditionally. Returns false iff the log crashed before the
+  /// commit became durable.
   bool WalWaitDurable(Transaction* t) {
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr && t->wal_epoch() != 0) {
       return wal_->WaitCommitDurable(t->wal_epoch());
     }
-#endif
-    (void)t;
     return true;
   }
 
@@ -474,31 +481,25 @@ class TransactionManager {
 
   /// Serializes a just-published commit into the redo log; caller holds
   /// commit_lock_ (the versions can't be GC'd and the write set is final —
-  /// for MV3C, final *after* repair). Compiles to nothing without WAL.
+  /// for MV3C, final *after* repair). A no-op while the WAL is disabled.
   void LogCommitLocked(Transaction* t, const CommittedRecord* rec,
                        Timestamp c) MV3C_REQUIRES(commit_lock_) {
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr) {
       wal::LogBuffer* buf = t->wal_buffer();
       t->set_wal_epoch(
           wal::LogMvccCommit(*wal_, buf, *rec, c, t->wal_repaired()));
       t->set_wal_buffer(buf);
     }
-#else
-    (void)t;
-    (void)rec;
-    (void)c;
-#endif
   }
 
   /// Adopts a fresh start timestamp for a still-registered transaction.
   /// The slot already holds the old (smaller) start, so no reclaim
   /// watermark can have passed it; the in-place store only raises the
   /// slot's value, which can never shrink a concurrent watermark scan
-  /// below what the transaction needs. A fresh start read after a
-  /// validation failure necessarily exceeds the invalidator's commit
-  /// timestamp (the invalidator published, raising the hwm, before the
-  /// failure was observable).
+  /// below what the transaction needs. A fresh start drawn after a
+  /// validation failure exceeds the invalidator's commit timestamp: under
+  /// commit_lock_ every linked record is published, and Retimestamp
+  /// takes the lock when pre-validation saw a record before its hwm store.
   void RefreshStartTs(Transaction* t) {
     const Timestamp fresh = commit_hwm_.load(std::memory_order_seq_cst) + 1;
     active_[t->slot()].start.store(fresh, std::memory_order_seq_cst);
@@ -598,7 +599,6 @@ class TransactionManager {
   obs::MetricsRegistry metrics_;
   VersionArena arena_;
   GarbageCollector gc_;
-#if defined(MV3C_WAL_ENABLED)
   // Last member: the log (and its writer thread) tears down first, before
   // gc_/arena_/metrics_ — the writer owns no version memory but its final
   // flush must not outlive any state a hook could touch. The pointer is
@@ -606,7 +606,6 @@ class TransactionManager {
   // lock-free on the commit path, so it carries no capability annotation.
   // mv3c-lint: allow(guarded_by_coverage)
   std::unique_ptr<wal::LogManager> wal_;
-#endif
 };
 
 // --- Transaction methods that need the manager ---

@@ -1,11 +1,6 @@
-// Out-of-line support for the observability layer. The whole file is
-// guarded: under -DMV3C_OBS=OFF it compiles to an empty translation unit,
-// which is what lets the obs-off build test assert that no timing symbol
-// exists in the binaries.
+// Out-of-line support for the observability layer: TSC calibration.
 
 #include "obs/metrics.h"
-
-#if defined(MV3C_OBS_ENABLED)
 
 #include <chrono>
 
@@ -40,5 +35,3 @@ double TscTicksPerNs() {
 }
 
 }  // namespace mv3c::obs
-
-#endif  // MV3C_OBS_ENABLED

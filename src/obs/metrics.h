@@ -7,27 +7,23 @@
 // reports compare like with like (the CCBench lesson: protocol comparisons
 // are only trustworthy with uniform, low-overhead phase instrumentation).
 //
-// Two compile-time regimes, keyed on -DMV3C_OBS=ON/OFF:
-//   * Counters are ALWAYS on. They are plain uint64_t fields owned by the
-//     engines (src/obs/engine_stats.h); the registry only *views* them
-//     through registered (name, pointer, merge-rule) triples, so an
-//     increment costs exactly what it cost before this layer existed and
-//     tests keep asserting on exact counter values in every build.
-//   * Phase timers, histograms and the event tracer compile to nothing
-//     under OFF: ScopedPhaseTimer becomes an empty shell, RecordPhase a
-//     no-op, and the out-of-line support code (tsc calibration, trace
-//     draining) is not compiled at all — the obs-off ctest verifies no
-//     such symbol survives in the binaries.
+// Counters are plain uint64_t fields owned by the engines
+// (src/obs/engine_stats.h); the registry only *views* them through
+// registered (name, pointer, merge-rule) triples, so an increment costs
+// exactly what it cost before this layer existed and tests assert on exact
+// counter values. Phase timers are sampled per transaction (see
+// kPhaseSampleEvery).
 //
 // Timing uses the TSC directly (rdtsc on x86, a steady_clock fallback
 // elsewhere): a scoped timer is two register reads plus one bucket
 // increment (lock-free on single-threaded executor registries, behind a
 // spin lock on shared ones), cheap enough to leave on in benchmark builds
-// (see EXPERIMENTS.md "Phase breakdown methodology" for the fig7a ON/OFF
+// (see EXPERIMENTS.md "Phase breakdown methodology" for the fig7a overhead
 // measurement).
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -37,11 +33,8 @@
 #include "common/macros.h"
 #include "common/spinlock.h"
 
-#if defined(MV3C_OBS_ENABLED)
-#include <bit>
 #if !defined(__x86_64__) && !defined(__i386__)
 #include <chrono>
-#endif
 #endif
 
 namespace mv3c::obs {
@@ -96,7 +89,6 @@ enum class RecordSync : uint8_t { kUnsynchronized, kSynchronized };
 /// GC and arena-retire events are rare and stay always-timed.
 inline constexpr uint32_t kPhaseSampleEvery = 16;
 
-#if defined(MV3C_OBS_ENABLED)
 /// Per-owner sampling counter. Tick() is true once every
 /// kPhaseSampleEvery calls (including the first, so short tests and
 /// single-shot transactions still record).
@@ -107,18 +99,11 @@ class PhaseSampler {
  private:
   uint32_t n_ = 0;
 };
-#else
-class PhaseSampler {
- public:
-  bool Tick() { return false; }
-};
-#endif
 
 inline constexpr int kHistogramBuckets = 64;
 
 /// Immutable copy of one histogram, in TSC ticks plus the tick->ns rate at
-/// snapshot time. Always available (it is plain data); under -DMV3C_OBS=OFF
-/// every instance simply stays empty.
+/// snapshot time.
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum_ticks = 0;
@@ -264,8 +249,6 @@ struct MetricsSnapshot {
   }
 };
 
-#if defined(MV3C_OBS_ENABLED)
-
 /// Raw timestamp-counter read; the histogram unit. On x86 this is rdtsc
 /// (~20 cycles, no serialization — phase durations are long enough that
 /// out-of-order skew is noise); elsewhere steady_clock nanoseconds.
@@ -281,8 +264,7 @@ inline uint64_t TscNow() {
 }
 
 /// TSC ticks per nanosecond, calibrated once (lazily) against
-/// steady_clock. Defined in metrics.cc — the symbol the obs-off build test
-/// greps for to prove the timing layer compiled out.
+/// steady_clock. Defined in metrics.cc.
 double TscTicksPerNs();
 
 /// Log-bucketed latency histogram: bucket i counts values in
@@ -328,8 +310,6 @@ class LatencyHistogram {
   uint64_t max_ = 0;
 };
 
-#endif  // MV3C_OBS_ENABLED
-
 /// One registry per metrics-owning component (executor, transaction
 /// manager, SV engine). Counters are registered views onto fields that the
 /// owner keeps incrementing directly; phase recordings go into per-phase
@@ -339,12 +319,7 @@ class LatencyHistogram {
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(RecordSync sync = RecordSync::kSynchronized)
-#if defined(MV3C_OBS_ENABLED)
-      : sync_(sync)
-#endif
-  {
-    (void)sync;
-  }
+      : sync_(sync) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -366,7 +341,6 @@ class MetricsRegistry {
     counters_.push_back({name, nullptr, field, kind});
   }
 
-#if defined(MV3C_OBS_ENABLED)
   void RecordPhase(Phase p, uint64_t ticks) {
     if (sync_ == RecordSync::kSynchronized) {
       SpinLockGuard g(lock_);
@@ -375,9 +349,6 @@ class MetricsRegistry {
       hist_[static_cast<int>(p)].Record(ticks);
     }
   }
-#else
-  void RecordPhase(Phase, uint64_t) {}
-#endif
 
   MetricsSnapshot Snapshot() const {
     MetricsSnapshot s;
@@ -388,10 +359,8 @@ class MetricsRegistry {
                              : c.atomic_field->load(std::memory_order_relaxed);
       s.counters.push_back({c.name, v, c.kind});
     }
-#if defined(MV3C_OBS_ENABLED)
     SpinLockGuard g(lock_);
     for (int i = 0; i < kNumPhases; ++i) s.phases[i] = hist_[i].Snapshot();
-#endif
     return s;
   }
 
@@ -408,7 +377,6 @@ class MetricsRegistry {
   /// not the registration list.
   // mv3c-lint: allow(guarded_by_coverage)
   std::vector<CounterRef> counters_;
-#if defined(MV3C_OBS_ENABLED)
   const RecordSync sync_;
   mutable SpinLock lock_;
   /// Deliberately NOT MV3C_GUARDED_BY(lock_): whether the lock covers the
@@ -418,10 +386,7 @@ class MetricsRegistry {
   /// the static model; the TSan jobs cover the lock-free contract.
   // mv3c-lint: allow(guarded_by_coverage)
   LatencyHistogram hist_[kNumPhases];
-#endif
 };
-
-#if defined(MV3C_OBS_ENABLED)
 
 /// RAII phase timer: reads the TSC at construction and records the delta
 /// into `registry`'s phase histogram at scope exit. A null registry makes
@@ -446,19 +411,6 @@ class ScopedPhaseTimer {
   Phase phase_;
   uint64_t start_;
 };
-
-#else  // !MV3C_OBS_ENABLED
-
-/// -DMV3C_OBS=OFF shell: constructing and destroying it is a no-op the
-/// optimizer deletes entirely.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(MetricsRegistry*, Phase) {}
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-};
-
-#endif  // MV3C_OBS_ENABLED
 
 }  // namespace mv3c::obs
 

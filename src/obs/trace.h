@@ -13,20 +13,15 @@
 //
 // Tracing is gated on a process-global enable flag: disabled (the
 // default), a compiled-in call site costs one relaxed atomic load and a
-// predicted branch. Under -DMV3C_OBS=OFF the call sites compile to nothing
-// at all and none of the symbols below exist.
+// predicted branch.
 
-#include <cstdint>
-
-#include "common/macros.h"
-
-#if defined(MV3C_OBS_ENABLED)
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "common/macros.h"
 #include "obs/metrics.h"  // TscNow
-#endif
 
 namespace mv3c::obs {
 
@@ -50,8 +45,6 @@ inline const char* TraceEventName(TraceEvent e) {
                                   "arena_retire"};
   return kNames[static_cast<int>(e)];
 }
-
-#if defined(MV3C_OBS_ENABLED)
 
 inline constexpr size_t kTraceCapacity = 64 * 1024;  // events per thread
 
@@ -100,17 +93,6 @@ void EnableTraceFromEnv();
 void DumpTraceIfRequested();
 
 #define MV3C_TRACE_EVENT(kind, id) ::mv3c::obs::Tracer::Record((kind), (id))
-
-#else  // !MV3C_OBS_ENABLED
-
-inline void EnableTraceFromEnv() {}
-inline void DumpTraceIfRequested() {}
-
-#define MV3C_TRACE_EVENT(kind, id) \
-  do {                             \
-  } while (0)
-
-#endif  // MV3C_OBS_ENABLED
 
 }  // namespace mv3c::obs
 

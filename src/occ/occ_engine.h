@@ -6,10 +6,7 @@
 
 #include "obs/metrics.h"
 #include "sv/sv_transaction.h"
-
-#if defined(MV3C_WAL_ENABLED)
 #include "wal/log_sv.h"
-#endif
 
 namespace mv3c {
 
@@ -56,7 +53,6 @@ class OccEngine {
     // after our epoch tag is drawn (causal epoch prefixes), and the shared
     // lock hold keeps fuzzy checkpoints from missing commits whose epochs
     // they truncate.
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr) {
       const uint64_t e =
           wal::LogSvCommitAndInstall(*wal_, wal_buf_, t, commit_tid);
@@ -64,31 +60,23 @@ class OccEngine {
     } else {
       sv::InstallWrites(t, commit_tid);
     }
-#else
-    (void)wal_epoch_out;
-    sv::InstallWrites(t, commit_tid);
-#endif
     if (commit_tid_out != nullptr) *commit_tid_out = commit_tid;
     return true;
   }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-#if defined(MV3C_WAL_ENABLED)
   /// Attaches the group-commit log; commits of WAL-registered tables start
   /// serializing redo records. One staging buffer per engine is enough —
   /// the validation mutex already serializes committers.
   void set_wal(wal::LogManager* lm) { wal_ = lm; }
-#endif
 
  private:
   std::mutex mu_;
   std::atomic<uint64_t> tid_seq_{2};
   obs::MetricsRegistry metrics_;
-#if defined(MV3C_WAL_ENABLED)
   wal::LogManager* wal_ = nullptr;
   wal::LogBuffer* wal_buf_ = nullptr;  // guarded by mu_
-#endif
 };
 
 }  // namespace mv3c

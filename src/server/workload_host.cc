@@ -12,16 +12,13 @@
 #include "mvcc/transaction_manager.h"
 #include "obs/engine_stats.h"
 #include "omvcc/omvcc_transaction.h"
+#include "wal/catalog.h"
+#include "wal/log_manager.h"
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
 #include "workloads/trading.h"
-
-#if defined(MV3C_WAL_ENABLED)
-#include "wal/catalog.h"
-#include "wal/log_manager.h"
 #include "workloads/wal_registry.h"
-#endif
 
 namespace mv3c::server {
 namespace {
@@ -56,13 +53,12 @@ void BusyWaitUs(uint32_t us) {
 }
 
 /// Everything engine-generic: per-worker executors, the step loop, the
-/// worker-published metrics snapshots, and (when compiled in) the WAL.
+/// worker-published metrics snapshots, and (when enabled) the WAL.
 /// Subclasses own the database and map opcodes to programs.
 template <typename Executor>
 class HostBase : public WorkloadHost {
  public:
   explicit HostBase(const HostOptions& opts) : opts_(opts) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts_.wal) {
       wal::WalConfig cfg;
       cfg.dir = opts_.wal_dir;
@@ -72,7 +68,6 @@ class HostBase : public WorkloadHost {
       mgr_.EnableWal(cfg);
       sync_ack_ = opts_.sync_ack;
     }
-#endif
     workers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
       workers_.push_back(std::make_unique<Worker>());
@@ -148,12 +143,10 @@ class HostBase : public WorkloadHost {
   void Maintenance() override { mgr_.CollectGarbage(); }
 
   void Shutdown() override {
-#if defined(MV3C_WAL_ENABLED)
     if (opts_.wal && mgr_.wal() != nullptr) {
       mgr_.wal()->FlushNow();
       mgr_.DisableWal();
     }
-#endif
   }
 
  protected:
@@ -166,7 +159,7 @@ class HostBase : public WorkloadHost {
 
  private:
   /// Commits wait for the WAL fsync before they are answered; false
-  /// without a WAL (including builds with the WAL compiled out).
+  /// without a WAL.
   bool sync_ack_ = false;
   struct Worker {
     std::unique_ptr<Executor> exec;
@@ -187,9 +180,7 @@ class BankingHost final : public HostBase<Executor> {
         db_(&this->mgr_, opts.scale == 0 ? 100000 : static_cast<int64_t>(
                                                         opts.scale),
             /*initial_balance=*/1000) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -216,9 +207,7 @@ class BankingHost final : public HostBase<Executor> {
 
  private:
   banking::BankingDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- trading ---
@@ -230,9 +219,7 @@ class TradingHost final : public HostBase<Executor> {
       : HostBase<Executor>(opts),
         db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale,
             opts.scale == 0 ? 100000 : opts.scale) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -274,9 +261,7 @@ class TradingHost final : public HostBase<Executor> {
 
  private:
   trading::TradingDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- tatp ---
@@ -287,9 +272,7 @@ class TatpHost final : public HostBase<Executor> {
   explicit TatpHost(const HostOptions& opts)
       : HostBase<Executor>(opts),
         db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -319,9 +302,7 @@ class TatpHost final : public HostBase<Executor> {
 
  private:
   tatp::TatpDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- tpcc ---
@@ -331,9 +312,7 @@ class TpccHost final : public HostBase<Executor> {
  public:
   explicit TpccHost(const HostOptions& opts)
       : HostBase<Executor>(opts), db_(&this->mgr_, ScaleOf(opts)) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -373,9 +352,7 @@ class TpccHost final : public HostBase<Executor> {
   }
 
   tpcc::TpccDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 template <typename Executor>
@@ -399,12 +376,6 @@ std::unique_ptr<WorkloadHost> MakeForEngine(const HostOptions& opts) {
 }  // namespace
 
 std::unique_ptr<WorkloadHost> MakeWorkloadHost(const HostOptions& opts) {
-#if !defined(MV3C_WAL_ENABLED)
-  if (opts.wal) {
-    std::fprintf(stderr, "--wal requires a -DMV3C_WAL=ON build\n");
-    return nullptr;
-  }
-#endif
   if (opts.engine == "mv3c") return MakeForEngine<Mv3cExecutor>(opts);
   if (opts.engine == "omvcc") return MakeForEngine<OmvccExecutor>(opts);
   std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());

@@ -149,8 +149,7 @@ class SvTable {
   }
 
   /// Durability identity, mirroring TableBase::wal_id on the MVCC side:
-  /// nonzero once the table is registered with a wal::Catalog. Plain
-  /// metadata, compiled in regardless of -DMV3C_WAL.
+  /// nonzero once the table is registered with a wal::Catalog.
   uint32_t wal_id() const { return wal_id_; }
   void set_wal_id(uint32_t id) { wal_id_ = id; }
 

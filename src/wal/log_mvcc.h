@@ -2,9 +2,9 @@
 #define MV3C_WAL_LOG_MVCC_H_
 
 // Commit-path redo serializer for the MVCC engines (MV3C and OMVCC).
-// Included by transaction_manager.h only under -DMV3C_WAL=ON; the wal core
-// (log_manager/log_buffer/wal_format) stays mvcc-free, this header is the
-// one-way bridge from mvcc types into it.
+// Included by transaction_manager.h; the wal core (log_manager/log_buffer/
+// wal_format) stays mvcc-free, this header is the one-way bridge from mvcc
+// types into it.
 
 #include <cstdint>
 #include <cstring>

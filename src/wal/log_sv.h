@@ -2,7 +2,6 @@
 #define MV3C_WAL_LOG_SV_H_
 
 // Commit-path redo serializer for the single-version engines (OCC, SILO).
-// Included by the engines only under -DMV3C_WAL=ON.
 
 #include <cstdint>
 #include <vector>

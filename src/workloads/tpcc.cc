@@ -317,12 +317,7 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                     orow.c_id = p->c_id;
                     orow.entry_d = p->date;
                     orow.ol_cnt = p->ol_cnt;
-                    orow.all_local = true;
-                    for (uint8_t i = 0; i < p->ol_cnt; ++i) {
-                      if (p->items[i].supply_w != p->w_id) {
-                        orow.all_local = false;
-                      }
-                    }
+                    orow.all_local = AllLinesLocal(*p);
                     const uint64_t okey = OrderKey(p->w_id, p->d_id, o_id);
                     OrderTable::Object* oobj = nullptr;
                     if (t.InsertRow(db.orders, okey, orow, &oobj) !=
@@ -731,6 +726,7 @@ OmvccExecutor::Program OmvccNewOrder(TpccDb& db, const TpccParams& p) {
     orow.c_id = p.c_id;
     orow.entry_d = p.date;
     orow.ol_cnt = p.ol_cnt;
+    orow.all_local = AllLinesLocal(p);
     const uint64_t okey = OrderKey(p.w_id, p.d_id, o_id);
     OrderTable::Object* oobj = nullptr;
     if (t.InsertRow(db.orders, okey, orow, &oobj) != WriteStatus::kOk) {

@@ -393,6 +393,15 @@ struct TpccParams {
 };
 static_assert(std::has_unique_object_representations_v<TpccParams>);
 
+/// New-Order's O_ALL_LOCAL (clause 2.4.2.2): true iff every order line is
+/// supplied by the home warehouse.
+inline bool AllLinesLocal(const TpccParams& p) {
+  for (uint8_t i = 0; i < p.ol_cnt; ++i) {
+    if (p.items[i].supply_w != p.w_id) return false;
+  }
+  return true;
+}
+
 /// Standard-mix generator with the spec's NURand constants (clause 2.1.6)
 /// and the 1% invalid-item rule.
 class TpccGenerator {

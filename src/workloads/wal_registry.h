@@ -1,10 +1,6 @@
 #ifndef MV3C_WORKLOADS_WAL_REGISTRY_H_
 #define MV3C_WORKLOADS_WAL_REGISTRY_H_
 
-#if !defined(MV3C_WAL_ENABLED)
-#error "workloads/wal_registry.h requires -DMV3C_WAL=ON (gate the include)"
-#endif
-
 #include "wal/catalog.h"
 #include "workloads/banking.h"
 #include "workloads/tatp.h"

@@ -305,10 +305,9 @@ TEST(CommitComplexityTest, CommitTimeScalesNearLinearlyInWriteSet) {
 
 // Once its scratch has grown to the write-set size, a commit allocates
 // exactly one block: the published record's version array, which outlives
-// the commit (the GC frees it with the record). With -DMV3C_ARENA=OFF the
-// record itself is a second heap block. Every version here is the only
-// one for its object, so no retirement (whose GC list allocates in blocks
-// of its own) runs inside the commit.
+// the commit (the GC frees it with the record). Every version here is the
+// only one for its object, so no retirement (whose GC list allocates in
+// blocks of its own) runs inside the commit.
 TEST_F(CommitContractTest, SteadyStateCommitAllocatesOnlyTheRecord) {
   if (kUnderSanitizer) GTEST_SKIP() << "sanitizers replace the allocator";
   constexpr int64_t kRows = 16;
@@ -327,8 +326,7 @@ TEST_F(CommitContractTest, SteadyStateCommitAllocatesOnlyTheRecord) {
   for (int i = 0; i < kCommits; ++i) one_commit(i, false);
   g_allocs.store(0);
   for (int i = 0; i < kCommits; ++i) one_commit(i, true);
-  const uint64_t per_commit = kVersionArenaEnabled ? 1 : 2;
-  EXPECT_EQ(g_allocs.load(), per_commit * kCommits);
+  EXPECT_EQ(g_allocs.load(), static_cast<uint64_t>(kCommits));
 }
 
 }  // namespace

@@ -217,6 +217,33 @@ TEST(ThreadedSerializabilityTest, Mv3cThreadedRunIsCommitOrderSerializable) {
   EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
 }
 
+// Every transfer pays the shared fee account, so pre-validation keeps
+// failing on commits that are still being published (linked into the
+// recently-committed list, high-water mark not yet stored). The repair
+// round's new start must include such a commit: otherwise repair re-reads
+// the fee balance that commit overwrote, the final validation skips it as
+// already validated, and a fee is lost.
+TEST(ThreadedSerializabilityTest, Mv3cRepairAfterInFlightCommitKeepsFees) {
+  constexpr uint64_t kRuns = 40;
+  constexpr uint64_t kRunTxns = 5000;
+  banking::TransferGenerator gen(kAccounts, /*fee_percent=*/100, /*seed=*/31);
+  std::vector<TransferParams> stream;
+  for (uint64_t i = 0; i < kRunTxns; ++i) stream.push_back(gen.Next());
+  for (uint64_t run = 0; run < kRuns; ++run) {
+    TransactionManager mgr;
+    BankingDb db(&mgr, kAccounts, kInitial);
+    db.Load();
+    ThreadDriver<Mv3cExecutor>::Run(
+        4, kRunTxns,
+        [&](size_t) { return std::make_unique<Mv3cExecutor>(&mgr); },
+        [&](uint64_t i, size_t) {
+          return banking::Mv3cTransferMoney(db, stream[i]);
+        },
+        [&] { mgr.CollectGarbage(); });
+    ASSERT_EQ(db.TotalBalance(), kAccounts * kInitial) << "run " << run;
+  }
+}
+
 TEST(ThreadedSerializabilityTest, MixedPolicyStressConservesMoney) {
   TransactionManager mgr;
   BankingDb db(&mgr, kAccounts, kInitial);

@@ -624,7 +624,6 @@ TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   server.Stop();
 }
 
-#if defined(MV3C_WAL_ENABLED)
 TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
   ServerOptions o = SmallBankingOptions();
   o.host.wal = true;
@@ -683,7 +682,6 @@ TEST(ServerWalTest, FailedFsyncCommitsComeBackWithoutDurableFlag) {
   EXPECT_GT(failpoint::Trips(failpoint::Site::kWalFsyncFail), 0u);
   server.Stop();
 }
-#endif
 
 }  // namespace
 }  // namespace mv3c::server

@@ -25,11 +25,9 @@
 #include "mvcc/transaction.h"
 #include "mvcc/transaction_manager.h"
 
-#if defined(MV3C_WAL_ENABLED)
 #include <filesystem>
 
 #include "wal/log_manager.h"
-#endif
 
 namespace mv3c {
 namespace {
@@ -374,7 +372,6 @@ TEST(TimestampContract, TruncationNeverStrandsAReader) {
 
 // --- WAL epoch alignment --------------------------------------------------
 
-#if defined(MV3C_WAL_ENABLED)
 TEST(TimestampContract, CommitTsEpochNeverExceedsRedoTag) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -455,7 +452,6 @@ TEST(TimestampContract, IdleFlushRoundsBurnNoEpochHeadroom) {
   }
   fs::remove_all(dir);
 }
-#endif  // MV3C_WAL_ENABLED
 
 }  // namespace
 }  // namespace mv3c

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "driver/window_driver.h"
+#include "occ/occ_engine.h"
 #include "workloads/tpcc.h"
+#include "workloads/tpcc_sv.h"
 
 namespace mv3c {
 namespace {
@@ -355,6 +357,52 @@ TEST(TpccMultiWarehouseTest, RemoteTransactionsStayConsistent) {
   EXPECT_EQ(res.committed + res.user_aborted, stream.size());
   std::string why;
   EXPECT_TRUE(CheckConsistency(db, &why)) << why;
+}
+
+// One New-Order line supplied by warehouse 2 must clear O_ALL_LOCAL on the
+// order it inserts, on both MVCC engines and on the single-version store.
+TEST(TpccMultiWarehouseTest, RemoteLineClearsAllLocalOnEveryEngine) {
+  TpccScale scale = TestScale();
+  scale.n_warehouses = 2;
+  TpccParams p;
+  p.type = TpccTxnType::kNewOrder;
+  p.w_id = 1;
+  p.d_id = 1;
+  p.c_id = 5;
+  p.date = 100;
+  p.ol_cnt = 5;
+  for (int i = 0; i < 5; ++i) {
+    p.items[i] = {static_cast<uint64_t>(i + 1), 1, 3};
+  }
+  p.items[2].supply_w = 2;
+  // The loader preloads 100 orders per district, so this is order 101.
+  const uint64_t okey = OrderKey(1, 1, 101);
+
+  for (const bool use_mv3c : {true, false}) {
+    SCOPED_TRACE(use_mv3c ? "mv3c" : "omvcc");
+    TransactionManager mgr;
+    TpccDb db(&mgr, scale);
+    db.Load(7);
+    if (use_mv3c) {
+      Mv3cExecutor e(&mgr);
+      ASSERT_EQ(e.Run(Mv3cTpccProgram(db, p)), StepResult::kCommitted);
+    } else {
+      OmvccExecutor e(&mgr);
+      ASSERT_EQ(e.Run(OmvccTpccProgram(db, p)), StepResult::kCommitted);
+    }
+    const auto* v = db.orders.Find(okey)->ReadVisible(kTxnIdBase - 1, 0);
+    ASSERT_NE(v, nullptr);
+    EXPECT_FALSE(v->data().all_local);
+  }
+
+  SvTpccDb sdb(scale);
+  sdb.Load(7);
+  OccEngine engine;
+  SvExecutor<OccEngine> e(&engine);
+  ASSERT_EQ(e.Run(SvTpccProgram(sdb, p)), StepResult::kCommitted);
+  OrderRow row;
+  sdb.orders.Find(okey)->ReadStable(&row);
+  EXPECT_FALSE(row.all_local);
 }
 
 }  // namespace

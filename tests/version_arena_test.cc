@@ -27,14 +27,7 @@ static_assert(sizeof(PackedObj) == 64);
 constexpr size_t kPerSlab =
     arena_internal::kSlabPayloadBytes / sizeof(PackedObj);
 
-class VersionArenaTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kVersionArenaEnabled) {
-      GTEST_SKIP() << "built with -DMV3C_ARENA=OFF";
-    }
-  }
-};
+class VersionArenaTest : public ::testing::Test {};
 
 TEST_F(VersionArenaTest, CreateDestroyRoundTrip) {
   VersionArena arena;
