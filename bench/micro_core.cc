@@ -1,19 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate operations:
 // version-chain reads at varying depths, version creation and commit,
-// predicate matching with and without the attribute-level short-circuit,
-// validation walks over the recently-committed list, cuckoo-map and
-// ordered-index operations, Zipf sampling and the trading payload cipher.
+// hot-row (banking fee account) transfers on one and two threads, cold-row
+// churn and the arena memory it holds, predicate matching with and without
+// the attribute-level short-circuit, validation walks over the
+// recently-committed list, cuckoo-map and ordered-index operations, Zipf
+// sampling and the trading payload cipher.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common/cipher.h"
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "common/zipf.h"
 #include "index/cuckoo_map.h"
 #include "index/ordered_index.h"
 #include "mvcc/predicate.h"
 #include "mvcc/transaction_manager.h"
+#include "workloads/banking.h"
 
 namespace mv3c {
 namespace {
@@ -76,6 +82,87 @@ void BM_UpdateCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UpdateCommit);
+
+/// Shared database for the multi-threaded hot-row case: google-benchmark
+/// runs Setup once before the threads start and Teardown once after they
+/// all finish.
+struct BankingFixture {
+  static constexpr int64_t kAccounts = 10000;
+  TransactionManager mgr;
+  banking::BankingDb db{&mgr, kAccounts, 1000000};
+};
+BankingFixture* g_banking = nullptr;
+
+void SetUpBanking(const benchmark::State&) {
+  g_banking = new BankingFixture;
+  g_banking->db.Load();
+}
+void TearDownBanking(const benchmark::State&) {
+  delete g_banking;
+  g_banking = nullptr;
+}
+
+/// The paper's Fig. 7 hot spot: every transfer also credits the shared fee
+/// account, so each commit writes that one row. Thread 0 runs the GC on
+/// the serving path's maintenance cadence (every 1024 of its commits).
+void BM_HotRowUpdate(benchmark::State& state) {
+  auto exec = std::make_unique<Mv3cExecutor>(&g_banking->mgr);
+  banking::TransferGenerator gen(BankingFixture::kAccounts,
+                                 /*fee_fraction_percent=*/100,
+                                 /*seed=*/17 + state.thread_index());
+  uint64_t commits = 0;
+  uint64_t completions = 0;
+  for (auto _ : state) {
+    const StepResult r =
+        exec->Run(banking::Mv3cTransferMoney(g_banking->db, gen.Next()));
+    if (r == StepResult::kCommitted) ++commits;
+    if (state.thread_index() == 0 && ++completions % 1024 == 0) {
+      g_banking->mgr.CollectGarbage();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(commits));
+}
+BENCHMARK(BM_HotRowUpdate)
+    ->Setup(SetUpBanking)
+    ->Teardown(TearDownBanking)
+    ->Threads(1)
+    ->Threads(2)
+    ->UseRealTime();
+
+/// Cold-row churn: each commit updates one of 10k rows picked at random,
+/// with the GC every 1024 commits. Reports how much version memory the
+/// arena keeps per 100k commits beyond what it held after the load — the
+/// figure that must stay near zero for memory to track live versions.
+void BM_ColdRowChurn(benchmark::State& state) {
+  constexpr uint64_t kRows = 10000;
+  TransactionManager mgr;
+  TestTable table("t", kRows);
+  {
+    Transaction loader(&mgr);
+    mgr.Begin(&loader);
+    for (uint64_t k = 0; k < kRows; ++k) loader.Insert(table, k, Row{});
+    MV3C_CHECK(mgr.TryCommit(&loader, [](CommittedRecord*) { return true; }));
+  }
+  mgr.CollectGarbage();
+  const uint64_t held_before = mgr.arena().snapshot().held_bytes;
+  Xoshiro256 rng(5);
+  Transaction t(&mgr);
+  int64_t i = 0;
+  for (auto _ : state) {
+    mgr.Begin(&t);
+    t.Update(table, table.Find(rng.NextBounded(kRows)), Row{++i, i},
+             ColumnMask::All(), false, WwPolicy::kFailFast);
+    MV3C_CHECK(mgr.TryCommit(&t, [](CommittedRecord*) { return true; }));
+    if ((i & 1023) == 0) mgr.CollectGarbage();
+  }
+  const double grown =
+      static_cast<double>(mgr.arena().snapshot().held_bytes) -
+      static_cast<double>(held_before);
+  state.counters["held_bytes_per_100k_commits"] =
+      grown * 1e5 / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ColdRowChurn);
 
 void BM_PredicateMatch(benchmark::State& state) {
   const bool attr = state.range(0) != 0;

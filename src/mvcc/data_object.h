@@ -85,8 +85,17 @@ class DataObjectBase {
   /// any read-dependency is still caught by predicate validation. Inserts
   /// and deletes carry a full mask, so key-level operations always
   /// conflict, preserving §2.3.1's fail-fast rule for them.
+  ///
+  /// On success the same lock acquisition trims the chain below
+  /// `trim_cut` (cooperative GC, DESIGN §2.7): committed versions older
+  /// than the newest one below the cut are unlinked and handed to
+  /// `retire(version)`. The cut must be a reclaim cut the manager has
+  /// published (no registered or future start lies below it); 0 trims
+  /// nothing.
+  template <typename RetireFn>
   PushResult Push(VersionBase* v, WwPolicy policy, Timestamp start_ts,
-                  Timestamp txn_id) MV3C_EXCLUDES(chain_lock_) {
+                  Timestamp txn_id, Timestamp trim_cut, RetireFn&& retire)
+      MV3C_EXCLUDES(chain_lock_) {
     if (MV3C_FAILPOINT(failpoint::Site::kVersionChainPush)) {
       // Injected spurious contention failure: indistinguishable from a
       // genuine write-write conflict, so the caller's rollback-and-restart
@@ -117,11 +126,30 @@ class DataObjectBase {
     v->set_next(head());
     head_.store(v, std::memory_order_release);
     approx_chain_len_.fetch_add(1, std::memory_order_relaxed);
+    // A chain already trimmed at a cut >= this one has nothing left to
+    // cut: every commit after that trim carries a timestamp above the cut
+    // (published cuts never pass hwm + 1), and the §2.4.1 move splices
+    // clones above the newest committed version, never below it. So a
+    // write to a hot row walks its chain once per cut advance, not once
+    // per write.
+    if (trim_cut > trimmed_cut_) {
+      trimmed_cut_ = trim_cut;
+      TrimLocked(trim_cut, retire);
+    }
     return PushResult::kOk;
   }
 
-  /// Approximate number of versions linked since the last truncation; used
-  /// to trigger inline garbage collection of hot chains.
+  /// Push without trimming (recovery replay, tests).
+  PushResult Push(VersionBase* v, WwPolicy policy, Timestamp start_ts,
+                  Timestamp txn_id) MV3C_EXCLUDES(chain_lock_) {
+    return Push(v, policy, start_ts, txn_id, /*trim_cut=*/0,
+                [](VersionBase*) {});
+  }
+
+  /// Number of versions linked in the chain. Every link and unlink adjusts
+  /// it under the chain lock; read without the lock it may trail a
+  /// concurrent writer by a few. Triggers a fresh reclaim cut for chains
+  /// the cached cut leaves long (Transaction::MaybeTruncateChain).
   uint32_t ApproxChainLength() const {
     return approx_chain_len_.load(std::memory_order_relaxed);
   }
@@ -198,41 +226,7 @@ class DataObjectBase {
   size_t TruncateOlderThan(Timestamp watermark, RetireFn&& retire)
       MV3C_EXCLUDES(chain_lock_) {
     SpinLockGuard g(chain_lock_);
-    // Find the newest committed version with ts < watermark: it is still
-    // the visible version for the oldest active reader; everything
-    // committed below it is unreachable. Uncommitted versions below it can
-    // exist (pushed under kAllowMultiple before a later writer committed
-    // in place above them) and must be preserved — their owners are live.
-    VersionBase* keep = nullptr;
-    for (VersionBase* v = head(); v != nullptr; v = v->next()) {
-      const Timestamp t = v->ts();
-      if (IsCommitTs(t) && t < watermark) {
-        keep = v;
-        break;
-      }
-    }
-    if (keep == nullptr) return 0;
-    size_t cut = 0;
-    VersionBase* prev = keep;
-    VersionBase* cur = keep->next();
-    while (cur != nullptr) {
-      VersionBase* next = cur->next();
-      const Timestamp t = cur->ts();
-      if (IsTxnId(t)) {
-        prev = cur;  // live uncommitted version: keep it linked
-      } else {
-        prev->set_next(next);
-        if (!cur->dead()) cur->MarkDead();
-        retire(cur);
-        ++cut;
-      }
-      cur = next;
-    }
-    if (cut > 0) {
-      approx_chain_len_.fetch_sub(
-          static_cast<uint32_t>(cut), std::memory_order_relaxed);
-    }
-    return cut;
+    return TrimLocked(watermark, retire);
   }
 
   /// Newest live committed version in the chain, or nullptr. Used as the
@@ -269,6 +263,47 @@ class DataObjectBase {
       prev->set_next(v->next());
     }
     v->MarkDead();
+    approx_chain_len_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// TruncateOlderThan's body, shared with Push's trim.
+  template <typename RetireFn>
+  size_t TrimLocked(Timestamp watermark, RetireFn& retire)
+      MV3C_REQUIRES(chain_lock_) {
+    // Find the newest committed version with ts < watermark: it is still
+    // the visible version for the oldest active reader; everything
+    // committed below it is unreachable. Uncommitted versions below it can
+    // exist (pushed under kAllowMultiple before a later writer committed
+    // in place above them) and must be preserved — their owners are live.
+    VersionBase* keep = nullptr;
+    for (VersionBase* v = head(); v != nullptr; v = v->next()) {
+      const Timestamp t = v->ts();
+      if (IsCommitTs(t) && t < watermark) {
+        keep = v;
+        break;
+      }
+    }
+    if (keep == nullptr) return 0;
+    size_t cut = 0;
+    VersionBase* prev = keep;
+    VersionBase* cur = keep->next();
+    while (cur != nullptr) {
+      VersionBase* next = cur->next();
+      if (IsTxnId(cur->ts())) {
+        prev = cur;  // live uncommitted version: keep it linked
+      } else {
+        prev->set_next(next);
+        cur->MarkDead();
+        retire(cur);
+        ++cut;
+      }
+      cur = next;
+    }
+    if (cut > 0) {
+      approx_chain_len_.fetch_sub(
+          static_cast<uint32_t>(cut), std::memory_order_relaxed);
+    }
+    return cut;
   }
 
   /// head_ stays an atomic, not MV3C_GUARDED_BY(chain_lock_): readers
@@ -280,6 +315,8 @@ class DataObjectBase {
   std::atomic<VersionBase*> head_{nullptr};
   SpinLock chain_lock_;
   std::atomic<uint32_t> approx_chain_len_{0};
+  /// Highest published reclaim cut Push has trimmed this chain at.
+  Timestamp trimmed_cut_ MV3C_GUARDED_BY(chain_lock_) = 0;
 };
 
 /// Typed data object: key plus version chain.

@@ -2,8 +2,8 @@
 #define MV3C_MVCC_GC_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -54,6 +54,14 @@ class GarbageCollector {
     versions_.push_back({era, v});
   }
 
+  /// Retires a transaction's whole retire list under one lock acquisition
+  /// (Transaction::FlushRetired, once per commit or abort).
+  void RetireVersions(const std::vector<VersionBase*>& vs, Timestamp era)
+      MV3C_EXCLUDES(lock_) {
+    SpinLockGuard g(lock_);
+    for (VersionBase* v : vs) versions_.push_back({era, v});
+  }
+
   void RetireRecord(CommittedRecord* r, Timestamp era) MV3C_EXCLUDES(lock_) {
     SpinLockGuard g(lock_);
     records_.push_back({era, r});
@@ -85,37 +93,47 @@ class GarbageCollector {
   }
 
  private:
-  size_t CollectImpl(Timestamp safe_before) MV3C_EXCLUDES(lock_) {
-    SpinLockGuard g(lock_);
-    size_t freed = 0;
-    while (!versions_.empty() && versions_.front().era < safe_before) {
-      // Destructor now, slab memory when the whole slab drains: freeing a
-      // version below the watermark only decrements its slab's live count;
-      // the arena reclaims memory at slab granularity (DESIGN §5c).
-      VersionArena::Destroy(versions_.front().version);
-      versions_.pop_front();
-      ++freed;
-    }
-    while (!records_.empty() && records_.front().era < safe_before) {
-      VersionArena::Destroy(records_.front().record);
-      records_.pop_front();
-      ++freed;
-    }
-    return freed;
+  template <typename T>
+  struct Retired {
+    Timestamp era;
+    T* node;
+  };
+
+  /// Moves the reclaimable prefix of `list` (entries are appended in
+  /// roughly era order; the first one still in its grace period ends the
+  /// prefix) into `out`.
+  template <typename T>
+  static void TakeReclaimable(std::vector<Retired<T>>& list,
+                              Timestamp safe_before, std::vector<T*>* out) {
+    size_t n = 0;
+    while (n < list.size() && list[n].era < safe_before) ++n;
+    out->reserve(n);
+    for (size_t i = 0; i < n; ++i) out->push_back(list[i].node);
+    list.erase(list.begin(), list.begin() + static_cast<ptrdiff_t>(n));
   }
 
-  struct RetiredVersion {
-    Timestamp era;
-    VersionBase* version;
-  };
-  struct RetiredRecord {
-    Timestamp era;
-    CommittedRecord* record;
-  };
+  size_t CollectImpl(Timestamp safe_before) MV3C_EXCLUDES(lock_) {
+    std::vector<VersionBase*> versions;
+    std::vector<CommittedRecord*> records;
+    {
+      SpinLockGuard g(lock_);
+      TakeReclaimable(versions_, safe_before, &versions);
+      TakeReclaimable(records_, safe_before, &records);
+    }
+    // Destructors and block frees run outside lock_, so writers handing
+    // over their retire lists never wait behind a reclamation pass; the
+    // arena takes one slot lock per run of same-slot blocks rather than
+    // one per node.
+    VersionArena::DestroyBatch(versions);
+    VersionArena::DestroyBatch(records);
+    return versions.size() + records.size();
+  }
 
   mutable SpinLock lock_;
-  std::deque<RetiredVersion> versions_ MV3C_GUARDED_BY(lock_);
-  std::deque<RetiredRecord> records_ MV3C_GUARDED_BY(lock_);
+  /// Vectors, not deques: their capacity is kept across passes, so a
+  /// steady-state retire allocates nothing.
+  std::vector<Retired<VersionBase>> versions_ MV3C_GUARDED_BY(lock_);
+  std::vector<Retired<CommittedRecord>> records_ MV3C_GUARDED_BY(lock_);
 };
 
 }  // namespace mv3c

@@ -47,6 +47,8 @@ enum class WriteStatus {
 class Transaction {
  public:
   explicit Transaction(TransactionManager* mgr) : mgr_(mgr) {}
+  /// Flushes a retire list left by a transaction abandoned mid-flight.
+  ~Transaction();
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
@@ -74,15 +76,7 @@ class Transaction {
     auto* v = arena().Create<Version<Row>>(&table, obj, txn_id_, new_data);
     v->set_modified_columns(modified);
     v->set_blind_write(blind);
-    if (obj->Push(v, policy, start_ts_, txn_id_) !=
-        DataObjectBase::PushResult::kOk) {
-      // Never linked, never observed: freed immediately, through the same
-      // arena path as GC-retired versions (no more inline-delete asymmetry).
-      VersionArena::Destroy(v);
-      return WriteStatus::kWwConflict;
-    }
-    RegisterVersion(v);
-    MaybeTruncateChain(obj);
+    if (!PushVersion(obj, v, policy)) return WriteStatus::kWwConflict;
     if (out != nullptr) *out = v;
     return WriteStatus::kOk;
   }
@@ -103,12 +97,9 @@ class Transaction {
     auto* v = arena().Create<Version<Row>>(&table, obj, txn_id_, data);
     v->set_modified_columns(ColumnMask::All());
     v->set_is_insert(true);
-    if (obj->Push(v, WwPolicy::kFailFast, start_ts_, txn_id_) !=
-        DataObjectBase::PushResult::kOk) {
-      VersionArena::Destroy(v);  // never linked
+    if (!PushVersion(obj, v, WwPolicy::kFailFast)) {
       return WriteStatus::kWwConflict;
     }
-    RegisterVersion(v);
     if (out_obj != nullptr) *out_obj = obj;
     if (out_version != nullptr) *out_version = v;
     return WriteStatus::kOk;
@@ -126,18 +117,16 @@ class Transaction {
     auto* v = arena().Create<Version<Row>>(&table, obj, txn_id_, before->data());
     v->set_modified_columns(ColumnMask::All());
     v->set_tombstone(true);
-    if (obj->Push(v, WwPolicy::kFailFast, start_ts_, txn_id_) !=
-        DataObjectBase::PushResult::kOk) {
-      VersionArena::Destroy(v);  // never linked
+    if (!PushVersion(obj, v, WwPolicy::kFailFast)) {
       return WriteStatus::kWwConflict;
     }
-    RegisterVersion(v);
     if (out_version != nullptr) *out_version = v;
     return WriteStatus::kOk;
   }
 
   /// Unlinks and retires every version this transaction created (rollback
-  /// on user abort or full restart).
+  /// on user abort or full restart). The manager hands the retire list to
+  /// the GC when the transaction finishes or restarts.
   void RollbackWrites() {
     for (VersionBase* v : undo_) {
       v->object()->Unlink(v);
@@ -239,6 +228,12 @@ class Transaction {
 
   const std::vector<VersionBase*>& undo_buffer() const { return undo_; }
 
+  /// Hands every version this transaction unlinked — its own rollbacks,
+  /// prunes and superseded versions, and other writers' versions its
+  /// pushes trimmed — to the GC in one batch. The manager calls it once
+  /// per commit, abort or restart.
+  void FlushRetired();
+
   // --- manager-facing lifecycle hooks (see TransactionManager) ---
 
   void OnBegin(Timestamp start, Timestamp id, uint32_t slot) {
@@ -284,10 +279,29 @@ class Transaction {
   void set_wal_repaired() { wal_repaired_ = true; }
 
  private:
-  void RegisterVersion(VersionBase* v) { undo_.push_back(v); }
+  /// Links `v` into `obj`'s chain, trimming the chain at the manager's
+  /// cached reclaim cut in the same lock acquisition (DESIGN §2.7), and
+  /// records it in the undo buffer. On a write-write conflict `v` was
+  /// never linked, never observed, and is freed at once.
+  bool PushVersion(DataObjectBase* obj, VersionBase* v, WwPolicy policy) {
+    if (obj->Push(v, policy, start_ts_, txn_id_, CachedReclaimCut(),
+                  [this](VersionBase* dead) { Retire(dead); }) !=
+        DataObjectBase::PushResult::kOk) {
+      VersionArena::Destroy(v);
+      return false;
+    }
+    undo_.push_back(v);
+    MaybeTruncateChain(obj);
+    return true;
+  }
+
+  /// Queues an unlinked version for the GC; FlushRetired hands the queue
+  /// over. Waiting is safe: the grace period then starts from the
+  /// hand-over's era, which is no earlier than the unlink's.
+  void Retire(VersionBase* v) { retired_.push_back(v); }
 
   // Defined in transaction_manager.h (needs the manager's GC and clock).
-  void Retire(VersionBase* v);
+  Timestamp CachedReclaimCut() const;
   void MaybeTruncateChain(DataObjectBase* obj);
   VersionArena& arena() const;
 
@@ -308,6 +322,7 @@ class Transaction {
   Timestamp txn_id_ = 0;
   uint32_t slot_ = ~0u;
   std::vector<VersionBase*> undo_;
+  std::vector<VersionBase*> retired_;  // unlinked, not yet handed to the GC
   size_t pruned_ = 0;  // PruneVersion calls not yet dropped from undo_
   std::vector<WriteRef> by_object_;
   std::vector<Outcome> outcome_;

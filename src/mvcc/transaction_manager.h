@@ -76,6 +76,8 @@ namespace mv3c {
 /// concurrent unregistered beginner (start >= some hwm + 1) can at worst
 /// tie the cap, and a tie never unlinks a version the beginner needs
 /// (truncation keeps the newest committed version below the watermark).
+/// Each reclaimer also publishes its cut (reclaim_cut()); writers trim at
+/// that cached value without a slot scan of their own (DESIGN §5h).
 class TransactionManager {
  public:
   static constexpr size_t kMaxActive = 1024;
@@ -170,10 +172,15 @@ class TransactionManager {
   [[nodiscard]] bool TryCommit(Transaction* t, RevalidateFn&& revalidate,
                                Timestamp* commit_ts_out = nullptr)
       MV3C_EXCLUDES(commit_lock_) {
-    SpinLockGuard g(commit_lock_);
-    ExecStatus (*no_repair)() = nullptr;
-    return CommitLocked(t, revalidate, no_repair, commit_ts_out) ==
-           ExecStatus::kOk;
+    ExecStatus st;
+    {
+      SpinLockGuard g(commit_lock_);
+      ExecStatus (*no_repair)() = nullptr;
+      st = CommitLocked(t, revalidate, no_repair, commit_ts_out);
+    }
+    if (st != ExecStatus::kOk) return false;
+    t->FlushRetired();
+    return true;
   }
 
   /// §4.3 exclusive repair: like TryCommit, but on validation failure the
@@ -188,8 +195,13 @@ class TransactionManager {
                                 RepairFn&& repair,
                                 Timestamp* commit_ts_out = nullptr)
       MV3C_EXCLUDES(commit_lock_) {
-    SpinLockGuard g(commit_lock_);
-    return CommitLocked(t, revalidate, &repair, commit_ts_out);
+    ExecStatus st;
+    {
+      SpinLockGuard g(commit_lock_);
+      st = CommitLocked(t, revalidate, &repair, commit_ts_out);
+    }
+    if (st == ExecStatus::kOk) t->FlushRetired();
+    return st;
   }
 
   /// Draws a fresh start timestamp for a transaction staying in the
@@ -228,6 +240,7 @@ class TransactionManager {
   void CommitReadOnly(Transaction* t) {
     MV3C_CHECK(t->undo_buffer().empty());
     ReleaseSlot(t->slot());
+    t->FlushRetired();  // a repair may have pruned every write
   }
 
   /// Draws a fresh start timestamp for a transaction that rolled back its
@@ -237,11 +250,15 @@ class TransactionManager {
   void Restart(Transaction* t) {
     RefreshStartTs(t);
     t->ResetValidationWatermark();
+    t->FlushRetired();
   }
 
   /// Removes a user-aborted transaction from the active table. The caller
   /// must have rolled back its writes already.
-  void FinishAborted(Transaction* t) { ReleaseSlot(t->slot()); }
+  void FinishAborted(Transaction* t) {
+    ReleaseSlot(t->slot());
+    t->FlushRetired();
+  }
 
   /// A checkpoint reader's hold on the MVCC history: while pinned, the GC
   /// watermark cannot pass `ts`, so every version visible at `ts` survives
@@ -306,7 +323,7 @@ class TransactionManager {
   /// unlinked node is unreachable from any chain head, so a beginner that
   /// ties its era cannot be standing on it — only registered transactions
   /// at or below the era can, and the OldestActiveStart term covers
-  /// those).
+  /// those). `trim` is also published as the cached reclaim cut.
   struct ReclaimCuts {
     Timestamp trim;
     Timestamp free_below;
@@ -320,10 +337,27 @@ class TransactionManager {
                               floor, cap, std::memory_order_seq_cst)) {
     }
     const Timestamp oldest = OldestActiveStart();
-    return {std::min(cap, oldest), std::min(cap + 1, oldest)};
+    const ReclaimCuts cuts{std::min(cap, oldest), std::min(cap + 1, oldest)};
+    Timestamp cached = reclaim_cut_.load(std::memory_order_relaxed);
+    while (cached < cuts.trim &&
+           !reclaim_cut_.compare_exchange_weak(cached, cuts.trim,
+                                               std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+    }
+    return cuts;
+  }
+
+  /// The highest `trim` any AcquireReclaimCuts has returned. Writers trim
+  /// at it without rescanning the slot table (DESIGN §5h "Cached reclaim
+  /// cut"): it stays at or below every start that is registered now or
+  /// will be, because the trim floor only rises and Begin rejects starts
+  /// below it, and registered starts only rise.
+  Timestamp reclaim_cut() const {
+    return reclaim_cut_.load(std::memory_order_acquire);
   }
 
   GarbageCollector& gc() { return gc_; }
+  const GarbageCollector& gc() const { return gc_; }
 
   /// Version/record memory for every transaction under this manager.
   /// The arena is the last member destroyed here that touches version
@@ -570,6 +604,10 @@ class TransactionManager {
   /// Reclaim-protocol floor (class comment): monotone, only ever holds
   /// past `hwm + 1` caps.
   alignas(MV3C_CACHELINE_SIZE) std::atomic<Timestamp> trim_floor_{0};
+  /// Cached reclaim cut (reclaim_cut()): monotone, read by every write,
+  /// stored only by AcquireReclaimCuts — its own line, so the reads stay
+  /// shared between stores.
+  alignas(MV3C_CACHELINE_SIZE) std::atomic<Timestamp> reclaim_cut_{0};
   /// rc_head_ stays an atomic, not MV3C_GUARDED_BY(commit_lock_): readers
   /// (pre-validation, ForEachConcurrentVersion) chase it lock-free; every
   /// *store* happens with commit_lock_ held (CommitLocked publication,
@@ -610,22 +648,33 @@ class TransactionManager {
 
 // --- Transaction methods that need the manager ---
 
-inline void Transaction::Retire(VersionBase* v) {
-  mgr_->gc().RetireVersion(v, mgr_->CurrentEra());
+inline Transaction::~Transaction() { FlushRetired(); }
+
+inline void Transaction::FlushRetired() {
+  if (retired_.empty()) return;
+  // The era is read now, after every unlink on the list: a later era only
+  // lengthens the grace period.
+  mgr_->gc().RetireVersions(retired_, mgr_->CurrentEra());
+  retired_.clear();
+}
+
+inline Timestamp Transaction::CachedReclaimCut() const {
+  return mgr_->reclaim_cut();
 }
 
 inline VersionArena& Transaction::arena() const { return mgr_->arena(); }
 
 inline void Transaction::MaybeTruncateChain(DataObjectBase* obj) {
+  // Push already trimmed at the cached cut; a chain still this long has
+  // piled up commits since that cut was taken (a hot row between GC
+  // passes, or an old reader holding the cut back), so it takes a fresh
+  // cut, which also advances the cached one. Worker-thread truncation must
+  // run the reclaim protocol (trim-floor publish before the slot scan),
+  // not a bare OldestActiveStart.
   constexpr uint32_t kTruncateThreshold = 48;
   if (MV3C_LIKELY(obj->ApproxChainLength() < kTruncateThreshold)) return;
-  TransactionManager* mgr = mgr_;
-  // Worker-thread truncation must run the reclaim protocol (trim-floor
-  // publish before the slot scan), not a bare OldestActiveStart.
-  obj->TruncateOlderThan(mgr->AcquireReclaimCuts().trim,
-                         [mgr](VersionBase* dead) {
-                           mgr->gc().RetireVersion(dead, mgr->CurrentEra());
-                         });
+  obj->TruncateOlderThan(mgr_->AcquireReclaimCuts().trim,
+                         [this](VersionBase* dead) { Retire(dead); });
 }
 
 }  // namespace mv3c

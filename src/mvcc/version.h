@@ -98,12 +98,6 @@ class VersionBase {
   /// committed-suffix boundary.
   virtual VersionBase* Clone() const = 0;
 
-  /// Allocated extent of the most-derived object. VersionArena::Destroy is
-  /// reached through VersionBase* (GC, chain teardown); without this, only
-  /// the base subobject would be poisoned under ASan and a use-after-
-  /// reclaim on the row payload would go undetected.
-  virtual size_t AllocSize() const = 0;
-
   /// Copies every column NOT in `modified` from `base`'s payload into this
   /// version's payload. Called inside the commit critical section on rows
   /// that implement MergeFrom (see MergeableRow below), so that partial-
@@ -182,8 +176,6 @@ class Version : public VersionBase {
                       modified);
     }
   }
-
-  size_t AllocSize() const override { return sizeof(Version<Row>); }
 
  private:
   Row data_;

@@ -1,6 +1,6 @@
 #include "mvcc/version_arena.h"
 
-#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -8,15 +8,23 @@
 
 namespace mv3c {
 
+using arena_internal::ClassBlockBytes;
 using arena_internal::kAllocAlign;
+using arena_internal::kMaxClassBytes;
 using arena_internal::kSlabBytes;
 using arena_internal::kSlabHeaderBytes;
-using arena_internal::kSlabPayloadBytes;
 using arena_internal::Slab;
+using arena_internal::SizeClassOf;
 
 namespace {
 
 std::atomic<uint32_t> g_thread_counter{0};
+
+/// Written into the second word of every freed block (the first holds the
+/// free-list link) and cleared when the block is handed out again, so
+/// freeing a block twice is caught even while its slab holds other live
+/// objects. Blocks are at least 16 bytes, so both words always exist.
+constexpr uint64_t kFreedMark = 0xF4EEB10CF4EEB10CULL;
 
 /// Monotonic max for relaxed peak counters.
 void UpdatePeak(std::atomic<uint64_t>& peak, uint64_t value) {
@@ -30,30 +38,20 @@ void UpdatePeak(std::atomic<uint64_t>& peak, uint64_t value) {
 
 uint32_t VersionArena::ThreadSlotIndex() {
   // Threads are striped over the slots round-robin at first use; a slot is
-  // a bump target plus a spin lock, so two threads sharing a slot is a
-  // throughput matter, never a correctness one.
+  // a set of per-class slab lists plus a spin lock, so two threads sharing
+  // a slot is a throughput matter, never a correctness one.
   thread_local const uint32_t idx =
       g_thread_counter.fetch_add(1, std::memory_order_relaxed) % kThreadSlots;
   return idx;
 }
 
 VersionArena::~VersionArena() {
-  // Seal every slot's bump target, dropping its creation reference: an
-  // already-drained current slab retires here, and any slab still holding
-  // live objects is left with live == exactly its leak count.
-  for (ThreadSlot& slot : slots_) {
-    SpinLockGuard g(slot.lock);
-    if (slot.current != nullptr) {
-      SealSlab(slot.current);
-      slot.current = nullptr;
-    }
-  }
   DrainDeferred();
   // Detach the whole owned set under the lock, then leak-check and release
   // outside it: operator delete and stderr diagnostics are blocking calls
   // that must not run inside a spinlock critical section (lock_scope_io,
-  // DESIGN §5j). The swap is O(1) and freelisted slabs are a subset of
-  // all_, so clearing the freelist here cannot strand memory.
+  // DESIGN §5j). Freelisted slabs are a subset of all_, so clearing the
+  // freelist here cannot strand memory.
   std::vector<Slab*> owned;
   {
     SpinLockGuard g(slabs_lock_);
@@ -62,13 +60,14 @@ VersionArena::~VersionArena() {
   }
   // By construction the arena outlives every table and the GC that allocate
   // from it (it is destroyed with the TransactionManager, after the tables'
-  // chains and the GC deques have run their destructors), so every object
+  // chains and the GC's lists have run their destructors), so every object
   // must have been Destroy()ed by now. An ordering violation — a table or
-  // GC deque outliving its manager — would later dereference the freed
-  // slab headers released below; fail loudly here instead of as a silent
-  // use-after-free: log always, abort in debug builds.
+  // the GC outliving its manager — would later dereference the freed slab
+  // headers released below; fail loudly here instead of as a silent
+  // use-after-free: log always, abort in debug builds. No thread allocates
+  // or frees any more, so the live counts are read without slot locks.
   uint64_t leaked = 0;
-  for (Slab* slab : owned) leaked += slab->live.load(std::memory_order_relaxed);
+  for (Slab* slab : owned) leaked += slab->live;
   if (MV3C_UNLIKELY(leaked != 0)) {
     std::fprintf(stderr,
                  "VersionArena: %llu object(s) leaked at arena destruction; "
@@ -87,22 +86,19 @@ Slab* VersionArena::NewSlab(size_t total_bytes, bool oversize) {
   slab->owner = this;
   slab->capacity = static_cast<uint32_t>(total_bytes - kSlabHeaderBytes);
   slab->oversize = oversize;
+  uint64_t live_slabs = 0;
   {
     SpinLockGuard g(slabs_lock_);
     all_.push_back(slab);
+    live_slabs = all_.size();
   }
   slabs_created_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t held =
       held_bytes_.fetch_add(total_bytes, std::memory_order_relaxed) +
       total_bytes;
   UpdatePeak(peak_held_bytes_, held);
-  UpdatePeak(peak_slabs_live_, LiveSlabCount());
+  UpdatePeak(peak_slabs_live_, live_slabs);
   return slab;
-}
-
-uint64_t VersionArena::LiveSlabCount() const {
-  SpinLockGuard g(slabs_lock_);
-  return all_.size();
 }
 
 Slab* VersionArena::TakeSlab() {
@@ -114,107 +110,193 @@ Slab* VersionArena::TakeSlab() {
       freelist_.pop_back();
     }
   }
-  if (slab == nullptr) slab = NewSlab(kSlabBytes, /*oversize=*/false);
+  if (slab == nullptr) return NewSlab(kSlabBytes, /*oversize=*/false);
   // Hand-over to the new owner: freelisted slabs keep their retired state
-  // (sealed, live == 0, payload poisoned) until this point, so a stale
-  // pointer into a recycled slab keeps reporting under ASan for as long as
-  // possible, and no retired-state reset can race a retirement — by the
-  // time a slab reaches the freelist its unique retirer has already run.
+  // (payload poisoned) until this point, so a stale pointer into a
+  // recycled slab keeps reporting under ASan for as long as possible.
   UnpoisonRange(slab->payload(), slab->capacity);
-  slab->bump = 0;
-  slab->sealed.store(false, std::memory_order_relaxed);
-  // The creation reference: keeps live >= 1 until SealSlab drops it, so no
-  // object free can observe the 1->0 transition while the slab is a bump
-  // target. Relaxed suffices — every other thread that touches this slab
-  // first receives one of its objects through an acquire edge (chain
-  // publication) ordered after these stores.
-  slab->live.store(1, std::memory_order_relaxed);
   return slab;
 }
 
 void* VersionArena::AllocateRaw(size_t bytes) {
   const size_t need = (bytes + kAllocAlign - 1) & ~(kAllocAlign - 1);
-  if (MV3C_UNLIKELY(need > kSlabPayloadBytes)) return AllocateOversize(need);
-
-  ThreadSlot& slot = slots_[ThreadSlotIndex()];
-  SpinLockGuard g(slot.lock);
-  Slab* slab = slot.current;
-  if (slab == nullptr || slab->bump + need > slab->capacity) {
-    if (slab != nullptr) SealSlab(slab);
-    slab = TakeSlab();
-    slot.current = slab;
+  if (MV3C_UNLIKELY(need > kMaxClassBytes)) return AllocateOversize(need);
+  const uint32_t c = SizeClassOf(need);
+  const uint32_t slot_index = ThreadSlotIndex();
+  ThreadSlot& slot = slots_[slot_index];
+  void* p = nullptr;
+  {
+    SpinLockGuard g(slot.lock);
+    p = PopLocked(slot, c);
   }
-  void* p = slab->payload() + slab->bump;
-  slab->bump += static_cast<uint32_t>(need);
-  // Relaxed is enough: the creation reference pins live >= 1 for the whole
-  // time this slab is a bump target, so this increment can never race the
-  // 1->0 retirement transition.
-  slab->live.fetch_add(1, std::memory_order_relaxed);
+  if (p == nullptr) {
+    // The slot has no room in this class: adopt a slab outside the slot
+    // lock (TakeSlab may reach operator new), then allocate from it.
+    Slab* fresh = TakeSlab();
+    fresh->free = nullptr;
+    fresh->block = static_cast<uint32_t>(ClassBlockBytes(c));
+    fresh->bump = 0;
+    fresh->live = 0;
+    fresh->slot = static_cast<uint16_t>(slot_index);
+    fresh->size_class = static_cast<uint8_t>(c);
+    SpinLockGuard g(slot.lock);
+    PushFront(slot.avail[c], fresh);
+    p = PopLocked(slot, c);
+  }
   allocations_.fetch_add(1, std::memory_order_relaxed);
-  bytes_bumped_.fetch_add(need, std::memory_order_relaxed);
+  bytes_bumped_.fetch_add(ClassBlockBytes(c), std::memory_order_relaxed);
   return p;
+}
+
+void* VersionArena::PopLocked(ThreadSlot& slot, uint32_t c) {
+  AvailList& list = slot.avail[c];
+  Slab* slab = list.head;
+  if (slab == nullptr) return nullptr;
+  void* p = slab->free;
+  if (p != nullptr) {
+    UnpoisonRange(p, slab->block);
+    std::memcpy(&slab->free, p, sizeof(void*));
+  } else {
+    p = slab->payload() + slab->bump;
+    slab->bump += slab->block;
+  }
+  const uint64_t cleared = 0;  // drop kFreedMark
+  std::memcpy(static_cast<uint8_t*>(p) + sizeof(void*), &cleared,
+              sizeof(cleared));
+  ++slab->live;
+  if (!slab->HasRoom()) Unlist(list, slab);
+  return p;
+}
+
+Slab* VersionArena::FreeLocked(ThreadSlot& slot, Slab* slab, void* p) {
+  // The first word links the free list, the second carries kFreedMark.
+  // A block freed twice still carries the mark; under
+  // -DMV3C_SANITIZE=address reading the poisoned block reports first.
+  uint8_t* bytes = static_cast<uint8_t*>(p);
+  uint64_t mark = 0;
+  std::memcpy(&mark, bytes + sizeof(void*), sizeof(mark));
+  MV3C_CHECK(slab->live != 0 && mark != kFreedMark &&
+             "version arena double free");
+  std::memcpy(bytes, &slab->free, sizeof(void*));
+  std::memcpy(bytes + sizeof(void*), &kFreedMark, sizeof(kFreedMark));
+  slab->free = p;
+  PoisonRange(p, slab->block);
+  --slab->live;
+  AvailList& list = slot.avail[slab->size_class];
+  // Relisted at the back: the head keeps filling, so a slab whose objects
+  // are mostly gone gets the chance to drain completely.
+  if (!slab->listed) PushBack(list, slab);
+  if (slab->live == 0 && list.head != slab) {
+    Unlist(list, slab);
+    return slab;
+  }
+  return nullptr;
+}
+
+void VersionArena::PushFront(AvailList& list, Slab* slab) {
+  slab->prev = nullptr;
+  slab->next = list.head;
+  if (list.head != nullptr) {
+    list.head->prev = slab;
+  } else {
+    list.tail = slab;
+  }
+  list.head = slab;
+  slab->listed = true;
+}
+
+void VersionArena::PushBack(AvailList& list, Slab* slab) {
+  slab->next = nullptr;
+  slab->prev = list.tail;
+  if (list.tail != nullptr) {
+    list.tail->next = slab;
+  } else {
+    list.head = slab;
+  }
+  list.tail = slab;
+  slab->listed = true;
+}
+
+void VersionArena::Unlist(AvailList& list, Slab* slab) {
+  if (slab->prev != nullptr) {
+    slab->prev->next = slab->next;
+  } else {
+    list.head = slab->next;
+  }
+  if (slab->next != nullptr) {
+    slab->next->prev = slab->prev;
+  } else {
+    list.tail = slab->prev;
+  }
+  slab->prev = slab->next = nullptr;
+  slab->listed = false;
 }
 
 void* VersionArena::AllocateOversize(size_t bytes) {
   // One dedicated block per over-large object (none of the current version
-  // or record types hits this; rows carried by value could). Born sealed
-  // with live == 1 — the object's own reference, the creation reference
-  // conceptually already dropped — so the matching Destroy observes 1->0
-  // and retires it directly. Relaxed stores are safe: the destroying
-  // thread can only reach this slab via the returned pointer, which is
-  // ordered after them.
+  // or record types hits this; rows carried by value could), released
+  // eagerly by its Destroy. The destroying thread can only reach this slab
+  // via the returned pointer, so the plain stores below are ordered before
+  // its reads.
   Slab* slab = NewSlab(kSlabHeaderBytes + bytes, /*oversize=*/true);
-  slab->bump = static_cast<uint32_t>(bytes);
-  slab->live.store(1, std::memory_order_relaxed);
-  slab->sealed.store(true, std::memory_order_relaxed);
+  slab->block = static_cast<uint32_t>(bytes);
+  slab->live = 1;
   oversize_allocs_.fetch_add(1, std::memory_order_relaxed);
   allocations_.fetch_add(1, std::memory_order_relaxed);
   bytes_bumped_.fetch_add(bytes, std::memory_order_relaxed);
   return slab->payload();
 }
 
-void VersionArena::SealSlab(Slab* slab) {
-  // The flag is ordered before the creation-reference drop below, so any
-  // thread that later observes live == 1 -> 0 (through the fetch_sub RMW
-  // chain) also sees sealed == true.
-  slab->sealed.store(true, std::memory_order_relaxed);
-  // Drop the creation reference through the same fetch_sub path as object
-  // frees: live reaches zero exactly once, the unique observer of the
-  // 1->0 transition retires, and no second retirer exists that a recycle
-  // could race (the REVIEW.md duplicate-retirement hazard).
-  const uint32_t prev = slab->live.fetch_sub(1, std::memory_order_acq_rel);
-  MV3C_CHECK(prev != 0 && "slab sealed without a creation reference");
-  if (prev == 1) RetireSlab(slab);
-}
+void VersionArena::ReleaseBlock(void* p) { ReleaseBlocks(&p, 1); }
 
-void VersionArena::ReleaseObject(Slab* slab) {
-  VersionArena* owner = slab->owner;
-  owner->frees_.fetch_add(1, std::memory_order_relaxed);
-  // acq_rel: the release half publishes this thread's destructor writes;
-  // the acquire half (effective for the 1->0 observer) pulls in every
-  // other freeing thread's writes before the slab is recycled.
-  const uint32_t prev = slab->live.fetch_sub(1, std::memory_order_acq_rel);
-  // A zero live count here means an object in this slab was destroyed
-  // twice; under -DMV3C_SANITIZE=address the poisoned range reports first.
-  MV3C_CHECK(prev != 0 && "version arena double free");
-  if (prev == 1) {
-    // live can only reach zero after SealSlab dropped the creation
-    // reference (whose sealed store the RMW chain makes visible here); an
-    // unsealed slab means a double free consumed that reference.
-    MV3C_CHECK(slab->sealed.load(std::memory_order_relaxed) &&
-               "free on an active slab dropped its creation reference");
-    RetireSlab(slab);
+void VersionArena::ReleaseBlocks(void* const* blocks, size_t n) {
+  size_t i = 0;
+  while (i < n) {
+    Slab* slab = Slab::Of(blocks[i]);
+    VersionArena* owner = slab->owner;
+    if (slab->oversize) {
+      MV3C_CHECK(slab->live == 1 && "version arena double free");
+      slab->live = 0;
+      owner->frees_.fetch_add(1, std::memory_order_relaxed);
+      RetireSlab(slab);
+      ++i;
+      continue;
+    }
+    // One lock acquisition for the run of blocks owned by this slot. A
+    // slab's owner, slot and oversize flag are fixed while it holds a live
+    // block, so they can be read before taking that slot's lock. A drained
+    // slab ends the run: it is retired after the lock is dropped.
+    const uint16_t slot_index = slab->slot;
+    ThreadSlot& slot = owner->slots_[slot_index];
+    Slab* drained = nullptr;
+    const size_t begin = i;
+    {
+      SpinLockGuard g(slot.lock);
+      while (true) {
+        drained = FreeLocked(slot, slab, blocks[i]);
+        if (drained != nullptr || ++i == n) break;
+        slab = Slab::Of(blocks[i]);
+        if (slab->oversize || slab->owner != owner ||
+            slab->slot != slot_index) {
+          break;
+        }
+      }
+    }
+    if (drained != nullptr) ++i;
+    owner->frees_.fetch_add(i - begin, std::memory_order_relaxed);
+    if (drained != nullptr) RetireSlab(drained);
   }
 }
 
 void VersionArena::RetireSlab(Slab* slab) {
-  // Called exactly once per slab lifetime: only by the unique observer of
-  // live's 1->0 transition (see SealSlab/ReleaseObject).
+  // Called once per drain: the slab is off every avail list and holds no
+  // live object, so no other thread can reach it.
   VersionArena* owner = slab->owner;
   obs::ScopedPhaseTimer timer(owner->metrics_, obs::Phase::kArenaRetire);
   MV3C_TRACE_EVENT(obs::TraceEvent::kArenaRetire,
                    owner->slabs_retired_.load(std::memory_order_relaxed));
   owner->slabs_retired_.fetch_add(1, std::memory_order_relaxed);
+  PoisonRange(slab->payload(), slab->capacity);
   if (MV3C_FAILPOINT(failpoint::Site::kGcReclaim)) {
     // Injected lagging collector at slab granularity: park the slab on the
     // deferred list instead of recycling, stressing the drain paths
@@ -249,19 +331,15 @@ void VersionArena::RetireSlab(Slab* slab) {
 
 arena_internal::Slab* VersionArena::RecycleOrDetachLocked(Slab* slab) {
   if (!slab->oversize && freelist_.size() < kMaxFreeSlabs) {
-    // The slab parks in its retired state (sealed, live == 0, payload
-    // still poisoned) — deliberately NOT reset here. TakeSlab resets it at
-    // hand-over to the next owner, so recycling never rewinds state that a
-    // concurrent retirement path could still act on, and stale pointers
-    // into the slab keep reporting under ASan while it waits for reuse
-    // (the PredicatePool recycling pattern at slab granularity).
+    // The slab parks in its retired state (payload poisoned); AllocateRaw
+    // re-initializes it for whichever slot and class adopts it.
     freelist_.push_back(slab);
     slabs_recycled_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   // Unlink and account under the lock; the caller owns the actual release.
-  // Once detached the slab is unreachable (retirement is exactly-once and
-  // it is off all_/freelist_/deferred_), so freeing it lock-free is safe.
+  // Once detached the slab is unreachable (it is off all_/freelist_/
+  // deferred_ and every avail list), so freeing it lock-free is safe.
   all_.erase(std::remove(all_.begin(), all_.end(), slab), all_.end());
   const uint64_t total = kSlabHeaderBytes + static_cast<uint64_t>(slab->capacity);
   held_bytes_.fetch_sub(total, std::memory_order_relaxed);

@@ -519,6 +519,16 @@ std::string Server::MetricsText() const {
   obs::WriteSnapshot(&w, host_->PublishedEngineMetrics(), "mv3c_engine",
                      {{"engine", host_->engine()},
                       {"workload", host_->workload()}});
+  const WorkloadHost::MemoryGauges mem = host_->EngineMemory();
+  w.Gauge("mv3c_engine_arena_held_bytes",
+          "version arena memory held (slabs in use or freelisted)",
+          static_cast<double>(mem.arena_held_bytes));
+  w.Gauge("mv3c_engine_arena_live_objects",
+          "versions and commit records allocated and not yet freed",
+          static_cast<double>(mem.arena_live_objects));
+  w.Gauge("mv3c_engine_gc_pending",
+          "unlinked versions and records waiting out their grace period",
+          static_cast<double>(mem.gc_pending));
   return w.str();
 }
 

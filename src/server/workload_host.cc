@@ -142,6 +142,14 @@ class HostBase : public WorkloadHost {
 
   void Maintenance() override { mgr_.CollectGarbage(); }
 
+  MemoryGauges EngineMemory() const override {
+    MemoryGauges g;
+    g.arena_held_bytes = mgr_.arena().held_bytes();
+    g.arena_live_objects = mgr_.arena().live_objects();
+    g.gc_pending = mgr_.gc().PendingCount();
+    return g;
+  }
+
   void Shutdown() override {
     if (opts_.wal && mgr_.wal() != nullptr) {
       mgr_.wal()->FlushNow();

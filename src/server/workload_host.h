@@ -84,6 +84,16 @@ class WorkloadHost {
   /// instead of racing the executors' plain counters.
   virtual obs::MetricsSnapshot PublishedEngineMetrics() const = 0;
 
+  /// Version memory for /metrics: the arena's held bytes and live objects
+  /// (relaxed atomic loads) and the GC's pending count (read under the
+  /// GC's own lock), so a scrape never races the workers.
+  struct MemoryGauges {
+    uint64_t arena_held_bytes = 0;
+    uint64_t arena_live_objects = 0;
+    uint64_t gc_pending = 0;
+  };
+  virtual MemoryGauges EngineMemory() const = 0;
+
   /// Flushes the WAL (if any) so shutdown never strands an async-ack
   /// epoch; no-op without a WAL.
   virtual void Shutdown() = 0;

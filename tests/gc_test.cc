@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mvcc/table.h"
 #include "mvcc/transaction.h"
 #include "mvcc/transaction_manager.h"
@@ -147,10 +149,10 @@ TEST_F(GcTest, InlineTruncationBoundsHotChains) {
 }
 
 TEST_F(GcTest, SlabRetirementAcrossSlabBoundary) {
-  // ISSUE 2 satellite: a single transaction's write burst spans multiple
-  // 64 KiB slabs (a Version<Row> here is ~80 bytes, so ~800 fit per slab);
-  // after rollback and a full grace period, the interior slabs — sealed and
-  // fully drained — must retire, while the still-active bump target stays.
+  // A single transaction's write burst spans multiple 64 KiB slabs (a
+  // Version<Row> here is ~80 bytes, so ~800 fit per slab); after rollback
+  // and a full grace period, the drained slabs must retire, while the
+  // slot's allocation target stays.
   const auto before = mgr_.arena().snapshot();
   constexpr int kRows = 2500;
   Transaction w(&mgr_);
@@ -176,7 +178,7 @@ TEST_F(GcTest, LongRunningReaderPinsSlabRetirement) {
   // While a reader that started before a write burst's rollback is active,
   // no version from that burst may be freed — and therefore no slab it
   // occupies may retire. Once the reader finishes, the backlog drains and
-  // the sealed slabs retire.
+  // the drained slabs retire.
   SeedAndCommit(1, 0);
   Transaction reader(&mgr_);
   mgr_.Begin(&reader);
@@ -203,6 +205,95 @@ TEST_F(GcTest, LongRunningReaderPinsSlabRetirement) {
   const auto after = mgr_.arena().snapshot();
   EXPECT_GE(after.frees, before.frees + kRows);
   EXPECT_GE(after.slabs_retired, before.slabs_retired + 1);
+}
+
+TEST_F(GcTest, ChainLengthCountStaysExactThroughEveryUnlink) {
+  // Rollbacks, repair prunes and §2.4.1 clone moves all unlink versions;
+  // each must take its version out of the chain-length count, or the
+  // inline-truncation threshold fires on every write to the row.
+  table_.set_ww_policy(WwPolicy::kAllowMultiple);
+  SeedAndCommit(1, 0);
+  auto* obj = table_.Find(1);
+  for (int i = 0; i < 200; ++i) {
+    Transaction t(&mgr_);
+    mgr_.Begin(&t);
+    ASSERT_EQ(t.Update(table_, obj, Row{i}, ColumnMask::All(), false,
+                       WwPolicy::kAllowMultiple),
+              WriteStatus::kOk);
+    t.RollbackWrites();
+    mgr_.FinishAborted(&t);
+  }
+  for (int i = 0; i < 200; ++i) {
+    Transaction t(&mgr_);
+    mgr_.Begin(&t);
+    Version<Row>* v = nullptr;
+    ASSERT_EQ(t.Update(table_, obj, Row{i}, ColumnMask::All(), false,
+                       WwPolicy::kAllowMultiple, &v),
+              WriteStatus::kOk);
+    t.PruneVersion(v);
+    t.DropPrunedVersions();
+    mgr_.CommitReadOnly(&t);
+  }
+  for (int i = 0; i < 20; ++i) {
+    // t1's version ends up below t2's committed one: t1's commit moves it.
+    Transaction t1(&mgr_);
+    mgr_.Begin(&t1);
+    ASSERT_EQ(t1.Update(table_, obj, Row{1}, ColumnMask::All(), true,
+                        WwPolicy::kAllowMultiple),
+              WriteStatus::kOk);
+    Transaction t2(&mgr_);
+    mgr_.Begin(&t2);
+    ASSERT_EQ(t2.Update(table_, obj, Row{2}, ColumnMask::All(), true,
+                        WwPolicy::kAllowMultiple),
+              WriteStatus::kOk);
+    Commit(t2);
+    Commit(t1);
+  }
+  EXPECT_EQ(obj->ApproxChainLength(), obj->ChainLength());
+  EXPECT_LE(obj->ChainLength(), 48u);
+}
+
+TEST_F(GcTest, ColdRowChainStaysShortWithoutReaders) {
+  // A cold row: maintenance runs between any two of its writes. With no
+  // reader open, every write trims the chain at the cached reclaim cut, so
+  // it holds the new version and the one before it — not up to the
+  // inline-truncation threshold's worth.
+  SeedAndCommit(1, 0);
+  auto* obj = table_.Find(1);
+  size_t longest = 0;
+  for (int i = 1; i <= 1000; ++i) {
+    UpdateAndCommit(1, i);
+    mgr_.CollectGarbage();
+    longest = std::max(longest, obj->ChainLength());
+  }
+  EXPECT_LE(obj->ChainLength(), 3u);
+  EXPECT_LE(longest, 3u);
+}
+
+TEST_F(GcTest, ReaderSnapshotSurvivesTrimsAndChainsShrinkAfterIt) {
+  SeedAndCommit(1, 7);
+  auto* obj = table_.Find(1);
+  Transaction reader(&mgr_);
+  mgr_.Begin(&reader);
+  for (int i = 1; i <= 1000; ++i) {
+    UpdateAndCommit(1, i);
+    if (i % 250 == 0) mgr_.CollectGarbage();  // 4 passes
+  }
+  // The cached cut never passes the reader's start, so every trim kept the
+  // version its snapshot sees, and no pass freed it.
+  const auto* seen = reader.ReadVersion(table_, obj);
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen->data().v, 7);
+  mgr_.CommitReadOnly(&reader);
+  // Once the reader is gone the cut moves on and the chain shrinks back.
+  mgr_.CollectGarbage();
+  size_t longest = 0;
+  for (int i = 0; i < 100; ++i) {
+    UpdateAndCommit(1, i);
+    mgr_.CollectGarbage();
+    longest = std::max(longest, obj->ChainLength());
+  }
+  EXPECT_LE(longest, 3u);
 }
 
 TEST_F(GcTest, CollectAllOnQuiescentSystemFreesEverything) {

@@ -624,6 +624,57 @@ TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   server.Stop();
 }
 
+/// Value of an unlabelled gauge in a Prometheus scrape, or -1 if absent.
+double GaugeValue(const std::string& metrics, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const size_t at = metrics.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stod(metrics.substr(at + needle.size()));
+}
+
+TEST(ServerIntegrationTest, EngineMemoryGaugesStayFlatAcrossBatches) {
+  Server server(SmallBankingOptions());
+  ASSERT_TRUE(server.Start());
+  TestClient c(server.port());
+  // Fee-paying transfers: every one writes the shared fee account, the
+  // hot row whose versions must not pile up. Sent in rounds below the
+  // admission bound so nothing sheds; each batch spans several
+  // maintenance passes on worker 0.
+  uint64_t id = 0;
+  auto batch = [&] {
+    for (int round = 0; round < 30; ++round) {
+      std::vector<uint8_t> wire;
+      constexpr int kPerRound = 200;
+      for (int i = 0; i < kPerRound; ++i) {
+        ++id;
+        banking::TransferParams p =
+            MakeTransfer(1 + (id % 997), 1000 + (id % 991));
+        p.with_fee = true;
+        AppendRequest(&wire, id, Op::kBankingTransfer, p);
+      }
+      c.SendRaw(wire);
+      ASSERT_EQ(c.ReadResponses(kPerRound).size(),
+                static_cast<size_t>(kPerRound));
+    }
+  };
+  batch();
+  const std::string first = server.MetricsText();
+  const double held1 = GaugeValue(first, "mv3c_engine_arena_held_bytes");
+  EXPECT_GT(held1, 0) << first;
+  EXPECT_GT(GaugeValue(first, "mv3c_engine_arena_live_objects"), 0);
+  EXPECT_GE(GaugeValue(first, "mv3c_engine_gc_pending"), 0);
+  batch();
+  const double held2 = GaugeValue(server.MetricsText(),
+                                  "mv3c_engine_arena_held_bytes");
+  // The second batch allocated another ~1.7 MB of versions and records
+  // (three versions and a record per transfer). Reused blocks keep the
+  // arena where it stood, give or take what one maintenance interval
+  // leaves unreclaimed (a few 64 KiB slabs, depending on when the last
+  // pass ran before each scrape).
+  EXPECT_LE(held2, held1 + 8 * 64 * 1024);
+  server.Stop();
+}
+
 TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
   ServerOptions o = SmallBankingOptions();
   o.host.wal = true;

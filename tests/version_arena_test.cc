@@ -1,12 +1,15 @@
-// VersionArena unit tests: slab bump allocation, seal/retire/recycle
-// lifecycle, the bounded freelist, oversize fallback, sibling allocation
-// (the Clone() path), failpoint-deferred retirement, and the double-free
-// backstop. Engine-level integration (watermark interplay, chaos) lives in
-// gc_test.cc and chaos_serializability_test.cc.
+// VersionArena unit tests: size-class blocks and their reuse, the
+// drain/retire/recycle lifecycle, the bounded freelist, oversize fallback,
+// sibling allocation (the Clone() path), failpoint-deferred retirement, and
+// the double-free backstop. Engine-level integration (watermark interplay,
+// chaos) lives in gc_test.cc and chaos_serializability_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -42,8 +45,8 @@ TEST_F(VersionArenaTest, CreateDestroyRoundTrip) {
   VersionArena::Destroy(p);
   s = arena.snapshot();
   EXPECT_EQ(s.frees, 1u);
-  // The slab was never sealed (not full), so it is still the bump target:
-  // no retirement, no recycle.
+  // The slab is still its slot's allocation target: no retirement, no
+  // recycle.
   EXPECT_EQ(s.slabs_retired, 0u);
 }
 
@@ -77,25 +80,40 @@ TEST_F(VersionArenaTest, SealedAndDrainedSlabRecyclesOntoFreelist) {
 
 TEST_F(VersionArenaTest, ObjectsNeverStraddleASlabBoundary) {
   VersionArena arena;
-  // Leave 48 bytes of tail room in slab 1, then allocate a 64-byte object:
-  // it must start in slab 2, not straddle the boundary.
+  // Several size classes, each filled past one slab: every block must end
+  // inside its own slab, and blocks of different classes never share one.
   struct Odd {
     uint8_t b[48];
   };
-  std::vector<void*> cleanup;
-  for (size_t i = 0; i < kPerSlab - 1; ++i) {
-    cleanup.push_back(arena.Create<PackedObj>());
+  struct Wide {
+    uint8_t b[1000];  // a 1024-byte class block
+  };
+  std::vector<PackedObj*> packed;
+  std::vector<Odd*> odd;
+  std::vector<Wide*> wide;
+  for (size_t i = 0; i < kPerSlab + 1; ++i) {
+    packed.push_back(arena.Create<PackedObj>());
+    odd.push_back(arena.Create<Odd>());
   }
-  Odd* odd = arena.Create<Odd>();  // fits the 64-byte tail exactly
-  PackedObj* next = arena.Create<PackedObj>();  // must open slab 2
-  EXPECT_EQ(arena_internal::Slab::Of(odd),
-            arena_internal::Slab::Of(cleanup.front()));
-  EXPECT_NE(arena_internal::Slab::Of(next),
-            arena_internal::Slab::Of(cleanup.front()));
-  EXPECT_EQ(arena.snapshot().slabs_created, 2u);
-  for (void* p : cleanup) VersionArena::Destroy(static_cast<PackedObj*>(p));
-  VersionArena::Destroy(odd);
-  VersionArena::Destroy(next);
+  for (size_t i = 0; i < 2 * arena_internal::kSlabPayloadBytes / 1024; ++i) {
+    wide.push_back(arena.Create<Wide>());
+  }
+  auto inside = [](const void* p, size_t n) {
+    const auto* slab = reinterpret_cast<const uint8_t*>(
+        arena_internal::Slab::Of(p));
+    const auto* b = static_cast<const uint8_t*>(p);
+    return b >= slab + arena_internal::kSlabHeaderBytes &&
+           b + n <= slab + arena_internal::kSlabBytes;
+  };
+  for (PackedObj* p : packed) EXPECT_TRUE(inside(p, sizeof(PackedObj)));
+  for (Odd* p : odd) EXPECT_TRUE(inside(p, sizeof(Odd)));
+  for (Wide* p : wide) EXPECT_TRUE(inside(p, sizeof(Wide)));
+  EXPECT_NE(arena_internal::Slab::Of(packed.front()),
+            arena_internal::Slab::Of(odd.front()));
+  EXPECT_GE(arena.snapshot().slabs_created, 6u);
+  for (PackedObj* p : packed) VersionArena::Destroy(p);
+  for (Odd* p : odd) VersionArena::Destroy(p);
+  for (Wide* p : wide) VersionArena::Destroy(p);
 }
 
 TEST_F(VersionArenaTest, FreelistIsBounded) {
@@ -181,26 +199,109 @@ TEST_F(VersionArenaTest, FailpointDefersRetirementUntilDrain) {
   fp::Reset(0);
 }
 
-TEST_F(VersionArenaTest, SealRetiresAnAlreadyDrainedSlab) {
+TEST_F(VersionArenaTest, DrainedAllocationTargetIsReusedInPlace) {
   VersionArena arena;
-  // Fill slab 1 exactly and destroy everything while it is still the bump
-  // target: the creation reference keeps it alive (live == 1), so nothing
-  // retires yet. The next allocation seals it, drops that reference, and
-  // the seal path itself must observe 1 -> 0 and retire the slab.
+  // Fill slab 1 exactly and destroy everything: it is its slot's
+  // allocation target, so it stays (no retirement), and the next
+  // allocation reuses one of its freed blocks instead of a second slab.
   std::vector<PackedObj*> objs;
   for (size_t i = 0; i < kPerSlab; ++i) objs.push_back(arena.Create<PackedObj>());
+  arena_internal::Slab* slab = arena_internal::Slab::Of(objs.front());
   for (PackedObj* p : objs) VersionArena::Destroy(p);
   VersionArena::Stats s = arena.snapshot();
-  EXPECT_EQ(s.slabs_retired, 0u) << "creation reference must pin the slab";
-  PackedObj* extra = arena.Create<PackedObj>();  // rolls over, seals slab 1
+  EXPECT_EQ(s.slabs_retired, 0u) << "the allocation target must stay";
+  PackedObj* extra = arena.Create<PackedObj>();
+  EXPECT_EQ(arena_internal::Slab::Of(extra), slab);
   s = arena.snapshot();
-  EXPECT_EQ(s.slabs_retired, 1u);
-  EXPECT_EQ(s.slabs_recycled, 1u);
-  // The roll-over seals before taking a slab, so the retired slab recycles
-  // straight back into the same slot — no second slab is ever created.
-  EXPECT_EQ(s.freelist_slabs, 0u);
+  EXPECT_EQ(s.slabs_retired, 0u);
   EXPECT_EQ(s.slabs_created, 1u);
   VersionArena::Destroy(extra);
+}
+
+TEST_F(VersionArenaTest, FreedBlocksAreReusedSoLongLivedObjectsDoNotPinMemory) {
+  // A long-lived object every 100 allocations: with slab-granular
+  // reclamation each slab would keep a few survivors and never drain, so
+  // held memory would grow with the allocation count. Freed blocks are
+  // reused instead, so held memory tracks the live objects (1000 of them
+  // here, two slabs' worth).
+  struct Row {
+    int64_t v = 0;
+  };
+  VersionArena arena;
+  std::vector<VersionBase*> kept;
+  uint64_t start_held = 0;
+  for (int i = 0; i < 100000; ++i) {
+    auto* v = arena.Create<Version<Row>>(/*table=*/nullptr,
+                                         /*object=*/nullptr, Timestamp{1},
+                                         Row{i});
+    if (i % 100 == 0) {
+      kept.push_back(v);
+    } else {
+      VersionArena::Destroy(static_cast<VersionBase*>(v));
+    }
+    if (i == 99) start_held = arena.snapshot().held_bytes;
+  }
+  const VersionArena::Stats s = arena.snapshot();
+  EXPECT_GT(start_held, 0u);
+  EXPECT_LE(s.held_bytes, 2 * start_held);
+  EXPECT_EQ(arena.live_objects(), kept.size());
+  VersionArena::DestroyBatch(kept);
+  EXPECT_EQ(arena.live_objects(), 0u);
+}
+
+TEST_F(VersionArenaTest, CrossThreadFreesReturnBlocksToTheOwningSlab) {
+  // Two allocating threads hand every object to a third that frees them in
+  // batches, as the GC frees other workers' versions; the blocks must come
+  // back to their owners' slabs and be reused there, with the live count
+  // exact at the end.
+  VersionArena arena;
+  std::mutex mu;
+  std::vector<PackedObj*> handed;
+  std::atomic<int> producing{2};
+  constexpr int kPerThread = 50000;
+  constexpr size_t kMaxOutstanding = 2048;
+  auto produce = [&](int seed) {
+    for (int i = 0; i < kPerThread; ++i) {
+      PackedObj* p = arena.Create<PackedObj>();
+      p->payload[0] = static_cast<uint64_t>(seed * kPerThread + i);
+      while (true) {
+        {
+          std::lock_guard<std::mutex> g(mu);
+          if (handed.size() < kMaxOutstanding) {
+            handed.push_back(p);
+            break;
+          }
+        }
+        std::this_thread::yield();  // let the freeing thread catch up
+      }
+    }
+    producing.fetch_sub(1, std::memory_order_release);
+  };
+  std::thread a(produce, 0);
+  std::thread b(produce, 1);
+  std::vector<PackedObj*> batch;
+  while (true) {
+    const bool done = producing.load(std::memory_order_acquire) == 0;
+    {
+      std::lock_guard<std::mutex> g(mu);
+      batch.swap(handed);
+    }
+    VersionArena::DestroyBatch(batch);
+    batch.clear();
+    if (done) {
+      std::lock_guard<std::mutex> g(mu);
+      if (handed.empty()) break;
+    }
+  }
+  a.join();
+  b.join();
+  const VersionArena::Stats s = arena.snapshot();
+  EXPECT_EQ(s.allocations, 2u * kPerThread);
+  EXPECT_EQ(s.frees, 2u * kPerThread);
+  EXPECT_EQ(arena.live_objects(), 0u);
+  // 100k objects of 64 bytes are 100 slabs' worth; with at most a few
+  // thousand alive at once, reuse keeps the arena far below that.
+  EXPECT_LT(s.slabs_created, 50u);
 }
 
 using VersionArenaDeathTest = VersionArenaTest;
@@ -229,8 +330,8 @@ struct WideRow {
 TEST_F(VersionArenaDeathTest, DestroyThroughBasePointerPoisonsFullPayload) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Destroy is reached via VersionBase* (GC, chain teardown); the poisoned
-  // extent must be the most-derived AllocSize(), not sizeof(VersionBase),
-  // or a use-after-reclaim on the row payload escapes ASan.
+  // extent must be the whole block, not sizeof(VersionBase), or a
+  // use-after-reclaim on the row payload escapes ASan.
   EXPECT_DEATH(
       {
         VersionArena arena;
