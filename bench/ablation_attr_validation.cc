@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
     // Toggled between runs, before each run's workers start; thread
     // creation publishes the flag to them.
     g_attribute_level_validation.store(enabled, std::memory_order_relaxed);
-    const RunResult m = RunTpccMv3c(16, s);
-    const RunResult o = RunTpccOmvcc(16, s);
+    const RunResult m = RunTpcc(kMv3c, 16, s);
+    const RunResult o = RunTpcc(kOmvcc, 16, s);
     table.Row({enabled ? "on" : "off", Fmt(m.Tps(), 0),
                Fmt(m.Counter("repair_rounds")), Fmt(o.Tps(), 0),
                Fmt(o.Counter("validation_failures") +

@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
     banking::TransferGenerator gen(accounts, 100, 42);
     std::vector<banking::TransferParams> stream(n_txns);
     for (auto& p : stream) p = gen.Next();
-    Mv3cConfig cfg;
-    cfg.exclusive_repair_after = threshold;
+    RetryPolicy retry;
+    retry.exclusive_repair_after = threshold;
     uint64_t exclusive = 0, repairs = 0, fails = 0;
     WindowDriver<Mv3cExecutor> driver(
-        32, [&](...) { return std::make_unique<Mv3cExecutor>(&mgr, cfg); },
+        32, [&](...) { return std::make_unique<Mv3cExecutor>(&mgr, retry); },
         [&] { mgr.CollectGarbage(); });
     const DriveResult r = driver.Run(CountedSource<Mv3cExecutor::Program>(
         n_txns,

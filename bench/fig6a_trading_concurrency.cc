@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"concurrency", "mv3c_tps", "omvcc_tps", "speedup",
                       "mv3c_repairs", "omvcc_restarts"});
   for (size_t window : {1, 2, 4, 8, 16, 32}) {
-    const RunResult m = RunTradingMv3c(window, s);
-    const RunResult o = RunTradingOmvcc(window, s);
+    const RunResult m = RunTrading(kMv3c, window, s);
+    const RunResult o = RunTrading(kOmvcc, window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds")),

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
                       "mv3c_repairs", "omvcc_restarts"});
   for (double alpha : {0.5, 0.8, 1.0, 1.2, 1.4, 1.6, 2.0}) {
     s.alpha = alpha;
-    const RunResult m = RunTradingMv3c(10, s);
-    const RunResult o = RunTradingOmvcc(10, s);
+    const RunResult m = RunTrading(kMv3c, 10, s);
+    const RunResult o = RunTrading(kOmvcc, 10, s);
     table.Row({Fmt(alpha, 1), Fmt(m.Tps(), 0), Fmt(o.Tps(), 0),
                Fmt(m.Tps() / o.Tps(), 2), Fmt(m.Counter("repair_rounds")),
                Fmt(o.Counter("validation_failures") +

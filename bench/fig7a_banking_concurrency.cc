@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"concurrency", "mv3c_s", "omvcc_s", "mv3c_tps",
                       "omvcc_tps", "speedup"});
   for (size_t window : {1, 2, 4, 8, 16, 32}) {
-    const RunResult m = RunBankingMv3c(window, s);
-    const RunResult o = RunBankingOmvcc(window, s);
+    const RunResult m = RunBanking(kMv3c, window, s);
+    const RunResult o = RunBanking(kOmvcc, window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.seconds, 2),
                Fmt(o.seconds, 2), Fmt(m.Tps(), 0), Fmt(o.Tps(), 0),
                Fmt(m.Tps() / o.Tps(), 2)});

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
                       "mv3c_repairs", "omvcc_fails"});
   for (int pct : {0, 20, 40, 60, 80, 100}) {
     s.fee_percent = pct;
-    const RunResult m = RunBankingMv3c(10, s);
-    const RunResult o = RunBankingOmvcc(10, s);
+    const RunResult m = RunBanking(kMv3c, 10, s);
+    const RunResult o = RunBanking(kOmvcc, 10, s);
     table.Row({Fmt(static_cast<uint64_t>(pct)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds")),

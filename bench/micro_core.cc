@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate operations:
 // version-chain reads at varying depths, version creation and commit,
 // hot-row (banking fee account) transfers on one and two threads, cold-row
-// churn and the arena memory it holds, predicate matching with and without
-// the attribute-level short-circuit, validation walks over the
+// churn and the arena memory it holds, heap allocations per TPC-C commit
+// under each conflict policy, predicate matching with and without the
+// attribute-level short-circuit, validation walks over the
 // recently-committed list, cuckoo-map and ordered-index operations, Zipf
 // sampling and the trading payload cipher.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "common/cipher.h"
 
@@ -20,6 +24,29 @@
 #include "mvcc/predicate.h"
 #include "mvcc/transaction_manager.h"
 #include "workloads/banking.h"
+#include "workloads/tpcc.h"
+
+// Allocation counter for BM_TpccAllocs: every global operator new in this
+// binary bumps it while counting is switched on (the technique of
+// tests/commit_contract_test.cc).
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<uint64_t> g_allocs{0};
+
+// Out of line so the compiler does not pair this free() with the operator
+// new it replaces (-Wmismatched-new-delete).
+[[gnu::noinline]] void FreeBlock(void* p) { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { FreeBlock(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeBlock(p); }
 
 namespace mv3c {
 namespace {
@@ -163,6 +190,61 @@ void BM_ColdRowChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ColdRowChurn);
+
+/// Heap allocations per commit of one TPC-C transaction type, run
+/// serially (no conflicts) under MV3C (arg 0 = 0) or OMVCC (arg 0 = 1):
+/// the program, predicates, closures and scan state plus the index and
+/// commit-record allocations both engines share. OMVCC must not pay for
+/// MV3C's graph, so its count is the floor MV3C's is compared against.
+/// Arg 1: 0 = NewOrder, 1 = Payment. Only the transaction is counted, not
+/// the periodic GC; aborted NewOrders (the 1% rollback rule) count toward
+/// the allocations, not the commits.
+void BM_TpccAllocs(benchmark::State& state) {
+  const ConflictPolicy engine = state.range(0) == 0 ? ConflictPolicy::kRepair
+                                                    : ConflictPolicy::kRestart;
+  const tpcc::TpccTxnType type = state.range(1) == 0
+                                     ? tpcc::TpccTxnType::kNewOrder
+                                     : tpcc::TpccTxnType::kPayment;
+  tpcc::TpccScale scale;  // one warehouse, spec districts and customers
+  scale.n_items = 10000;
+  scale.preload_orders_per_d = 300;
+  scale.preload_new_orders_per_d = 90;
+  TransactionManager mgr;
+  tpcc::TpccDb db(&mgr, scale);
+  db.Load(3);
+  tpcc::TpccGenerator gen(scale, 5);
+  Mv3cExecutor exec(&mgr, {}, engine);
+  uint64_t commits = 0;
+  uint64_t txns = 0;
+  g_allocs.store(0);
+  for (auto _ : state) {
+    tpcc::TpccParams p;
+    do {
+      p = gen.Next();
+    } while (p.type != type);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    const StepResult r = exec.Run(tpcc::Mv3cTpccProgram(db, p));
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    if (r == StepResult::kCommitted) ++commits;
+    if (++txns % 1024 == 0) {
+      mgr.CollectGarbage();
+      db.CleanupNewOrderQueue();
+    }
+  }
+  state.counters["allocs_per_commit"] =
+      static_cast<double>(g_allocs.load()) /
+      static_cast<double>(commits == 0 ? 1 : commits);
+  state.SetItemsProcessed(static_cast<int64_t>(commits));
+}
+// A fixed iteration count makes the count exact and comparable across
+// builds: the run is serial and seeded.
+BENCHMARK(BM_TpccAllocs)
+    ->ArgNames({"omvcc", "payment"})
+    ->Iterations(20000)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 void BM_PredicateMatch(benchmark::State& state) {
   const bool attr = state.range(0) != 0;

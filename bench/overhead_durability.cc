@@ -22,7 +22,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// RunBankingMv3c with a WAL attached; `ack` selects the commit-path
+/// RunBanking(kMv3c, ...) with a WAL attached; `ack` selects the commit-path
 /// regime. The log directory is wiped before each run so segment sizes are
 /// comparable.
 RunResult RunBankingMv3cWal(size_t window, const BankingSetup& s,
@@ -45,7 +45,7 @@ RunResult RunBankingMv3cWal(size_t window, const BankingSetup& s,
   RunResult r = Drive<Mv3cExecutor>(
       window, s.n_txns,
       [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
+        return MakeMvccExecutor(&mgr, kMv3c);
       },
       [&](uint64_t i) { return banking::Mv3cTransferMoney(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   s.fee_percent = 100;
   s.n_txns = full ? 1000000 : 150000;
 
-  const RunResult off = RunBankingMv3c(10, s);
+  const RunResult off = RunBanking(kMv3c, 10, s);
   table.Row({"wal-off", Fmt(off.Tps(), 0), "0.00", "-", "-"});
   EmitRunJson("overhead_durability", "mv3c-wal-off", 10, off);
 

@@ -78,7 +78,7 @@ HistoryStats WriteHistory(const fs::path& dir, const BankingSetup& s,
     (void)Drive<Mv3cExecutor>(
         10, chunk,
         [&](...) {
-          return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
+          return MakeMvccExecutor(&mgr, kMv3c);
         },
         [&](uint64_t i) { return banking::Mv3cTransferMoney(db, stream[i]); },
         [&] { mgr.CollectGarbage(); });

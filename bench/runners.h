@@ -32,13 +32,19 @@ namespace mv3c::bench {
 /// section and the transaction is guaranteed to commit, bounding the
 /// number of validation rounds a transaction can burn under extreme
 /// contention ("a heuristic is to apply this optimization after N rounds
-/// of validation failures").
+/// of validation failures"). OMVCC runs ignore it.
 inline constexpr int kExclusiveRepairAfter = 3;
 
-inline Mv3cConfig DefaultMv3cConfig() {
-  Mv3cConfig cfg;
-  cfg.exclusive_repair_after = kExclusiveRepairAfter;
-  return cfg;
+/// The two MVCC engines the figures compare.
+inline constexpr ConflictPolicy kMv3c = ConflictPolicy::kRepair;
+inline constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
+/// The executor every MVCC run uses: MV3C (kRepair) or OMVCC (kRestart).
+inline std::unique_ptr<Mv3cExecutor> MakeMvccExecutor(
+    TransactionManager* mgr, ConflictPolicy engine) {
+  RetryPolicy retry;
+  retry.exclusive_repair_after = kExclusiveRepairAfter;
+  return std::make_unique<Mv3cExecutor>(mgr, retry, engine);
 }
 
 struct RunResult {
@@ -145,7 +151,8 @@ struct BankingSetup {
   uint64_t seed = 42;
 };
 
-inline RunResult RunBankingMv3c(size_t window, const BankingSetup& s) {
+inline RunResult RunBanking(ConflictPolicy engine, size_t window,
+                            const BankingSetup& s) {
   TransactionManager mgr;
   banking::BankingDb db(&mgr, s.accounts, s.initial_balance);
   db.Load();
@@ -153,27 +160,8 @@ inline RunResult RunBankingMv3c(size_t window, const BankingSetup& s) {
   std::vector<banking::TransferParams> stream(s.n_txns);
   for (auto& p : stream) p = gen.Next();
   RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
+      window, s.n_txns, [&](...) { return MakeMvccExecutor(&mgr, engine); },
       [&](uint64_t i) { return banking::Mv3cTransferMoney(db, stream[i]); },
-      [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunBankingOmvcc(size_t window, const BankingSetup& s) {
-  TransactionManager mgr;
-  banking::BankingDb db(&mgr, s.accounts, s.initial_balance);
-  db.Load();
-  banking::TransferGenerator gen(s.accounts, s.fee_percent, s.seed);
-  std::vector<banking::TransferParams> stream(s.n_txns);
-  for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return banking::OmvccTransferMoney(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
   AttachArenaStats(&r, mgr);
   return r;
@@ -190,51 +178,24 @@ struct TradingSetup {
   uint64_t seed = 42;
 };
 
-template <typename MakeExec, typename Executor>
-RunResult RunTradingImpl(size_t window, const TradingSetup& s,
-                         TransactionManager& mgr, trading::TradingDb& db,
-                         MakeExec&& make_exec, bool mv3c) {
+inline RunResult RunTrading(ConflictPolicy engine, size_t window,
+                            const TradingSetup& s) {
+  TransactionManager mgr;
+  trading::TradingDb db(&mgr, s.securities, s.customers);
   db.Load();
   trading::TradingGenerator gen(db, s.alpha, s.trade_order_percent, s.seed);
   std::vector<trading::TradingGenerator::Txn> stream(s.n_txns);
   for (auto& t : stream) t = gen.Next();
-  RunResult r = Drive<Executor>(
-      window, s.n_txns, make_exec,
-      [&, mv3c](uint64_t i) -> typename Executor::Program {
+  RunResult r = Drive<Mv3cExecutor>(
+      window, s.n_txns, [&](...) { return MakeMvccExecutor(&mgr, engine); },
+      [&](uint64_t i) {
         const auto& txn = stream[i];
-        if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-          return txn.is_trade_order ? trading::Mv3cTradeOrder(db, txn.order)
-                                    : trading::Mv3cPriceUpdate(db, txn.price);
-        } else {
-          return txn.is_trade_order
-                     ? trading::OmvccTradeOrder(db, txn.order)
-                     : trading::OmvccPriceUpdate(db, txn.price);
-        }
+        return txn.is_trade_order ? trading::Mv3cTradeOrder(db, txn.order)
+                                  : trading::Mv3cPriceUpdate(db, txn.price);
       },
       [&] { mgr.CollectGarbage(); });
   AttachArenaStats(&r, mgr);
   return r;
-}
-
-inline RunResult RunTradingMv3c(size_t window, const TradingSetup& s) {
-  TransactionManager mgr;
-  trading::TradingDb db(&mgr, s.securities, s.customers);
-  return RunTradingImpl<std::function<std::unique_ptr<Mv3cExecutor>()>,
-                        Mv3cExecutor>(
-      window, s, mgr, db,
-      [&] {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
-      true);
-}
-
-inline RunResult RunTradingOmvcc(size_t window, const TradingSetup& s) {
-  TransactionManager mgr;
-  trading::TradingDb db(&mgr, s.securities, s.customers);
-  return RunTradingImpl<std::function<std::unique_ptr<OmvccExecutor>()>,
-                        OmvccExecutor>(
-      window, s, mgr, db,
-      [&] { return std::make_unique<OmvccExecutor>(&mgr); }, false);
 }
 
 // --- TPC-C (Figures 8a, 8b, 8c, 11) ---
@@ -252,34 +213,15 @@ inline std::vector<tpcc::TpccParams> TpccStream(const TpccSetup& s) {
   return stream;
 }
 
-inline RunResult RunTpccMv3c(size_t window, const TpccSetup& s) {
+inline RunResult RunTpcc(ConflictPolicy engine, size_t window,
+                         const TpccSetup& s) {
   TransactionManager mgr;
   tpcc::TpccDb db(&mgr, s.scale);
   db.Load(s.seed);
   const auto stream = TpccStream(s);
   RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
+      window, s.n_txns, [&](...) { return MakeMvccExecutor(&mgr, engine); },
       [&](uint64_t i) { return tpcc::Mv3cTpccProgram(db, stream[i]); },
-      [&] {
-        mgr.CollectGarbage();
-        db.CleanupNewOrderQueue();
-      });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunTpccOmvcc(size_t window, const TpccSetup& s) {
-  TransactionManager mgr;
-  tpcc::TpccDb db(&mgr, s.scale);
-  db.Load(s.seed);
-  const auto stream = TpccStream(s);
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return tpcc::OmvccTpccProgram(db, stream[i]); },
       [&] {
         mgr.CollectGarbage();
         db.CleanupNewOrderQueue();
@@ -314,7 +256,8 @@ struct TatpSetup {
   uint64_t seed = 42;
 };
 
-inline RunResult RunTatpMv3c(size_t window, const TatpSetup& s) {
+inline RunResult RunTatp(ConflictPolicy engine, size_t window,
+                         const TatpSetup& s) {
   TransactionManager mgr;
   tatp::TatpDb db(&mgr, s.subscribers);
   db.Load(s.seed);
@@ -322,27 +265,8 @@ inline RunResult RunTatpMv3c(size_t window, const TatpSetup& s) {
   std::vector<tatp::TatpParams> stream(s.n_txns);
   for (auto& p : stream) p = gen.Next();
   RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
+      window, s.n_txns, [&](...) { return MakeMvccExecutor(&mgr, engine); },
       [&](uint64_t i) { return tatp::Mv3cTatpProgram(db, stream[i]); },
-      [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunTatpOmvcc(size_t window, const TatpSetup& s) {
-  TransactionManager mgr;
-  tatp::TatpDb db(&mgr, s.subscribers);
-  db.Load(s.seed);
-  tatp::TatpGenerator gen(s.subscribers, s.seed);
-  std::vector<tatp::TatpParams> stream(s.n_txns);
-  for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return tatp::OmvccTatpProgram(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
   AttachArenaStats(&r, mgr);
   return r;

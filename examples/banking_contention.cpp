@@ -47,18 +47,22 @@ int main(int argc, char** argv) {
     uint64_t repairs = 0;
     for (auto* e : d1.executors()) repairs += e->stats().repair_rounds;
 
-    // OMVCC run on identical input.
+    // OMVCC run on identical input: the same program under the restart
+    // policy.
     TransactionManager mgr2;
     banking::BankingDb db2(&mgr2, n_accounts, 1'000'000);
     db2.Load();
-    WindowDriver<OmvccExecutor> d2(
-        window, [&](...) { return std::make_unique<OmvccExecutor>(&mgr2); },
+    WindowDriver<Mv3cExecutor> d2(
+        window,
+        [&](...) {
+          return std::make_unique<Mv3cExecutor>(&mgr2, RetryPolicy{},
+                                                ConflictPolicy::kRestart);
+        },
         [&] { mgr2.CollectGarbage(); });
     t0 = std::chrono::steady_clock::now();
-    const DriveResult r2 = d2.Run(CountedSource<OmvccExecutor::Program>(
-        n_txns, [&](uint64_t i) {
-          return banking::OmvccTransferMoney(db2, stream[i]);
-        }));
+    const DriveResult r2 = d2.Run(CountedSource<Mv3cExecutor::Program>(
+        n_txns,
+        [&](uint64_t i) { return banking::Mv3cTransferMoney(db2, stream[i]); }));
     const double s2 =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

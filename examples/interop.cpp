@@ -1,8 +1,9 @@
 // Interoperability (paper §3): MV3C and OMVCC transactions running in the
 // same database at the same time. The only interaction between engines is
 // the validation phase, and both share the recently-committed list of the
-// transaction manager — so a system can migrate programs to MV3C one at a
-// time. This example runs a mixed stream and cross-checks the invariant.
+// transaction manager. Here OMVCC is the same executor and program under
+// ConflictPolicy::kRestart, so the policy can be chosen per executor. This
+// example runs a mixed stream and cross-checks the invariant.
 //
 //   build/examples/interop
 
@@ -44,11 +45,13 @@ int main() {
         }));
   });
   std::thread omvcc_thread([&] {
-    WindowDriver<OmvccExecutor> d(
-        8, [&](...) { return std::make_unique<OmvccExecutor>(&mgr); });
-    ro = d.Run(CountedSource<OmvccExecutor::Program>(
+    WindowDriver<Mv3cExecutor> d(8, [&](...) {
+      return std::make_unique<Mv3cExecutor>(&mgr, RetryPolicy{},
+                                            ConflictPolicy::kRestart);
+    });
+    ro = d.Run(CountedSource<Mv3cExecutor::Program>(
         kTxnsPerEngine, [&](uint64_t i) {
-          return banking::OmvccTransferMoney(db, stream_o[i]);
+          return banking::Mv3cTransferMoney(db, stream_o[i]);
         }));
   });
   mv3c_thread.join();

@@ -54,15 +54,16 @@ int main() {
               static_cast<unsigned long long>(
                   trade.stats().reexecuted_closures));
 
-  // --- OMVCC, same staging on a fresh database ---
+  // --- OMVCC: the same programs under the restart policy, same staging on
+  // a fresh database ---
   TransactionManager mgr2;
   TradingDb db2(&mgr2, 100000, 1000);
   db2.Load();
-  OmvccExecutor trade2(&mgr2);
-  trade2.Reset(OmvccTradeOrder(db2, order));
+  Mv3cExecutor trade2(&mgr2, {}, ConflictPolicy::kRestart);
+  trade2.Reset(Mv3cTradeOrder(db2, order));
   trade2.Begin();
-  OmvccExecutor pu2(&mgr2);
-  pu2.MustRun(OmvccPriceUpdate(db2, {200, 7777}));
+  Mv3cExecutor pu2(&mgr2, {}, ConflictPolicy::kRestart);
+  pu2.MustRun(Mv3cPriceUpdate(db2, {200, 7777}));
   r = trade2.Step();
   std::printf("OMVCC: first attempt  -> %s\n",
               r == StepResult::kNeedsRetry

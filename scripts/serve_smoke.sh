@@ -7,11 +7,13 @@
 # or acked without running.
 #
 #   usage: scripts/serve_smoke.sh [build_dir] [workload] [ack] [rate] [secs]
+#                                 [engine]
 #
 #   ack: "none" (default, no WAL), "async", or "sync" (WAL group commit;
 #        sync additionally requires every committed ack to carry the
 #        durable flag — the loadgen does not check flags, the server test
 #        does, so here sync just exercises the durable path end to end).
+#   engine: "mv3c" (default) or "omvcc" (the restart conflict policy).
 set -u
 
 BUILD_DIR="${1:-build}"
@@ -19,6 +21,7 @@ WL="${2:-banking}"
 ACK="${3:-none}"
 RATE="${4:-2000}"
 SECS="${5:-3}"
+ENGINE="${6:-mv3c}"
 
 SERVE="$BUILD_DIR/src/server/mv3c_serve"
 LOADGEN="$BUILD_DIR/bench/loadgen"
@@ -43,7 +46,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-serve_args=(--workload="$WL" --workers=4 --scale="$SCALE" --port=0)
+serve_args=(--workload="$WL" --engine="$ENGINE" --workers=4 --scale="$SCALE"
+            --port=0)
 if [ "$ACK" != none ]; then
   mkdir -p "$TMP/wal"
   serve_args+=(--wal --wal-dir="$TMP/wal" --ack="$ACK")
@@ -67,7 +71,7 @@ if [ -z "$PORT" ]; then
   echo "FAIL: mv3c_serve never printed LISTENING" >&2
   exit 1
 fi
-echo "mv3c_serve up: workload=$WL ack=$ACK port=$PORT" >&2
+echo "mv3c_serve up: workload=$WL engine=$ENGINE ack=$ACK port=$PORT" >&2
 
 # Warmup 0 so the loadgen's committed count covers *every* request it sent
 # — that is what makes exact equality against the server counter possible.
@@ -123,4 +127,4 @@ if [ $status -ne 0 ]; then
   echo "FAIL: metrics equality check" >&2
   exit 1
 fi
-echo "PASS: serve_smoke $WL ack=$ACK" >&2
+echo "PASS: serve_smoke $WL engine=$ENGINE ack=$ACK" >&2

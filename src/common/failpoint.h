@@ -29,8 +29,8 @@ enum class Site : uint8_t {
   /// DataObjectBase::Push — firing mimics a spurious CAS/contention failure:
   /// the push reports a write-write conflict although none exists.
   kVersionChainPush = 0,
-  /// Mv3cTransaction::PrevalidateAndMark / OmvccTransaction::Prevalidate —
-  /// firing forces a validation failure outside the critical section.
+  /// Mv3cTransaction::PrevalidateAndMark (both conflict policies) — firing
+  /// forces a validation failure outside the critical section.
   kPrevalidate,
   /// The delta revalidation inside TransactionManager::TryCommit — firing
   /// forces the in-lock validation to fail, sending the transaction back to

@@ -20,6 +20,11 @@ namespace mv3c {
 /// Validation ...), with fail-fast write-write conflicts causing a full
 /// rollback-and-restart and user aborts terminating the transaction.
 ///
+/// Under ConflictPolicy::kRestart the same executor is the OMVCC baseline
+/// (paper §2.1): a failed validation rolls back and re-executes the
+/// program from scratch, and repair, §4.3 exclusive repair and the retry
+/// policy's escalations are never entered.
+///
 /// The executor is deliberately *step*-based: `Begin()` draws the start
 /// timestamp; each `Step()` performs the pending work (first execution,
 /// repair, or restart re-execution) followed by one commit attempt. The
@@ -30,7 +35,9 @@ namespace mv3c {
 ///
 /// Every failed round consults the RetryController, which walks the
 /// starvation-free escalation ladder (common/retry_policy.h):
-/// repair -> §4.3 exclusive repair -> full restart -> kExhausted. The
+/// repair -> §4.3 exclusive repair -> full restart -> kExhausted. Under
+/// kRestart the ladder degenerates to restart-with-backoff until the
+/// budget runs out. The
 /// budget makes Step() loops terminate even under adversarial contention
 /// or failpoint injection; kExhausted rolls the transaction back and
 /// removes it from the active table, exactly like a user abort, so the
@@ -46,8 +53,9 @@ class Mv3cExecutor {
  public:
   using Program = std::function<ExecStatus(Mv3cTransaction&)>;
 
-  Mv3cExecutor(TransactionManager* mgr, Mv3cConfig config = {})
-      : config_(config), ctrl_(MergedPolicy(config)), txn_(mgr) {
+  explicit Mv3cExecutor(TransactionManager* mgr, RetryPolicy retry = {},
+                        ConflictPolicy conflict = ConflictPolicy::kRepair)
+      : ctrl_(retry), txn_(mgr, conflict) {
     obs::RegisterCounters(&metrics_, &txn_.stats());
   }
 
@@ -56,7 +64,8 @@ class Mv3cExecutor {
     program_ = std::move(program);
     phase_ = Phase::kExecute;
     // Threshold 0 means "exclusive from the very first commit attempt".
-    exclusive_mode_ = config_.exclusive_repair_after == 0;
+    exclusive_mode_ =
+        txn_.repairs() && ctrl_.policy().exclusive_repair_after == 0;
     ctrl_.Reset();
     txn_.ResetGraph();  // drop any graph left from the previous transaction
   }
@@ -126,8 +135,8 @@ class Mv3cExecutor {
             &txn_.inner(),
             [this](CommittedRecord* head) {
               bool delta_clean = txn_.ValidateAndMark(head);
-              if (MV3C_FAILPOINT(failpoint::Site::kCommitExclusiveDelta) &&
-                  txn_.ForceInvalidatePredicate()) {
+              if (txn_.InjectConflict(
+                      failpoint::Site::kCommitExclusiveDelta, delta_clean)) {
                 delta_clean = false;
               }
               return delta_clean && !txn_.HasInvalidPredicates();
@@ -169,8 +178,7 @@ class Mv3cExecutor {
           &txn_.inner(),
           [this](CommittedRecord* head) {
             bool ok = txn_.ValidateAndMark(head);
-            if (MV3C_FAILPOINT(failpoint::Site::kCommitDelta) &&
-                txn_.ForceInvalidatePredicate()) {
+            if (txn_.InjectConflict(failpoint::Site::kCommitDelta, ok)) {
               ok = false;
             }
             return ok;
@@ -226,14 +234,6 @@ class Mv3cExecutor {
  private:
   enum class Phase { kExecute, kRepair, kRestart };
 
-  /// The executor predates the policy layer; its `exclusive_repair_after`
-  /// knob keeps working by overriding the policy's copy.
-  static RetryPolicy MergedPolicy(const Mv3cConfig& config) {
-    RetryPolicy p = config.retry;
-    p.exclusive_repair_after = config.exclusive_repair_after;
-    return p;
-  }
-
   StepResult FinishUserAbort() {
     txn_.RollbackAll();
     txn_.manager()->FinishAborted(&txn_.inner());
@@ -257,20 +257,35 @@ class Mv3cExecutor {
     Mv3cStats& s = txn_.stats();
     s.max_rounds = std::max<uint64_t>(s.max_rounds, ctrl_.attempts());
     s.backoff_us = ctrl_.backoff_us_total();
-    if (d == RetryDecision::kExclusiveRepair && !exclusive_mode_) {
+    if (d == RetryDecision::kExclusiveRepair && txn_.repairs() &&
+        !exclusive_mode_) {
       exclusive_mode_ = true;
       ++s.escalations;
     }
     return d;
   }
 
-  StepResult BeginRestart() {
-    const RetryDecision d = NoteFailure();
-    if (d == RetryDecision::kGiveUp) return FinishExhausted();
+  /// Rolls back every write and re-executes the program from scratch
+  /// under a fresh start timestamp.
+  void RestartFromScratch() {
     txn_.RollbackAll();
     txn_.manager()->Restart(&txn_.inner());
-    ++txn_.stats().ww_restarts;
     phase_ = Phase::kRestart;
+  }
+
+  /// A fail-fast write-write conflict. OMVCC restarts before it asks the
+  /// retry policy and MV3C after, which only shows when the budget runs
+  /// out (OMVCC then counts the restart too); each keeps its order.
+  StepResult BeginRestart() {
+    if (!txn_.repairs()) {
+      RestartFromScratch();
+      ++txn_.stats().ww_restarts;
+      return NoteFailure() == RetryDecision::kGiveUp ? FinishExhausted()
+                                                     : StepResult::kNeedsRetry;
+    }
+    if (NoteFailure() == RetryDecision::kGiveUp) return FinishExhausted();
+    RestartFromScratch();
+    ++txn_.stats().ww_restarts;
     return StepResult::kNeedsRetry;
   }
 
@@ -278,26 +293,27 @@ class Mv3cExecutor {
     ++txn_.stats().validation_failures;
     MV3C_TRACE_EVENT(obs::TraceEvent::kValidateFail, txn_.inner().txn_id());
     const RetryDecision d = NoteFailure();
-    switch (d) {
-      case RetryDecision::kGiveUp:
-        return FinishExhausted();
-      case RetryDecision::kRestart:
-        // Escalation past repair: the predicate graph kept getting
-        // re-invalidated, so throw it away and re-execute from scratch.
-        ++txn_.stats().escalations;
-        txn_.RollbackAll();
-        txn_.manager()->Restart(&txn_.inner());
-        phase_ = Phase::kRestart;
-        return StepResult::kNeedsRetry;
-      case RetryDecision::kExclusiveRepair:
-      case RetryDecision::kRetry:
-        phase_ = Phase::kRepair;
-        return StepResult::kNeedsRetry;
+    if (d == RetryDecision::kGiveUp) return FinishExhausted();
+    if (!txn_.repairs()) {
+      // The failed validation already drew the new start timestamp
+      // (Retimestamp, or inside the commit critical section): discard
+      // everything and re-execute at it.
+      txn_.RollbackAll();
+      txn_.inner().ResetValidationWatermark();
+      phase_ = Phase::kRestart;
+      return StepResult::kNeedsRetry;
+    }
+    if (d == RetryDecision::kRestart) {
+      // Escalation past repair: the predicate graph kept getting
+      // re-invalidated, so throw it away and re-execute from scratch.
+      ++txn_.stats().escalations;
+      RestartFromScratch();
+    } else {
+      phase_ = Phase::kRepair;
     }
     return StepResult::kNeedsRetry;
   }
 
-  Mv3cConfig config_;
   RetryController ctrl_;
   Mv3cTransaction txn_;
   Program program_;

@@ -20,22 +20,13 @@
 
 namespace mv3c {
 
-/// Engine configuration.
-struct Mv3cConfig {
-  /// §4.3 exclusive repair: after this many failed validation rounds the
-  /// repair runs inside the commit critical section and the transaction is
-  /// guaranteed to commit right after. Negative disables the optimization.
-  int exclusive_repair_after = -1;
-  /// Starvation-free retry policy: attempt budget, repair->restart
-  /// escalation, and backoff. `retry.exclusive_repair_after` is ignored in
-  /// favor of the knob above (which predates the policy layer).
-  RetryPolicy retry{};
-};
-
-/// One entry of a scan result-set: the data object plus a snapshot copy of
-/// its visible row.
-template <typename TableT>
-using ScanEntry = ScanResultEntry<TableT>;
+/// What a transaction does when validation finds a conflict (DESIGN §3).
+/// kRepair is MV3C: repair the invalidated part of the predicate graph.
+/// kRestart is OMVCC, the baseline MV3C extends (paper §2.1): roll back and
+/// re-execute from scratch. Under kRestart reads keep a flat predicate list
+/// and run their closures inline, every write is fail-fast, and validation
+/// stops at the first conflict, so the baseline pays for no graph.
+enum class ConflictPolicy { kRepair, kRestart };
 
 /// The MV3C DSL front end (paper §2.2/§2.3 and Figure 3).
 ///
@@ -50,10 +41,15 @@ using ScanEntry = ScanResultEntry<TableT>;
 /// Closure rules (Definition 2.5): closures must be deterministic and must
 /// capture outer context by value (transaction inputs, ancestor results);
 /// they receive the predicate's fresh result on every (re-)execution.
+///
+/// Under ConflictPolicy::kRestart the same programs run as OMVCC: each read
+/// registers its criterion in a flat list and calls its closure once,
+/// inline; nothing is kept for a repair.
 class Mv3cTransaction {
  public:
-  explicit Mv3cTransaction(TransactionManager* mgr)
-      : mgr_(mgr), inner_(mgr) {}
+  explicit Mv3cTransaction(TransactionManager* mgr,
+                           ConflictPolicy policy = ConflictPolicy::kRepair)
+      : mgr_(mgr), inner_(mgr), policy_(policy) {}
   Mv3cTransaction(const Mv3cTransaction&) = delete;
   Mv3cTransaction& operator=(const Mv3cTransaction&) = delete;
   ~Mv3cTransaction() { ResetGraph(); }
@@ -61,6 +57,7 @@ class Mv3cTransaction {
   Transaction& inner() { return inner_; }
   TransactionManager* manager() const { return mgr_; }
   Mv3cStats& stats() { return stats_; }
+  bool repairs() const { return policy_ == ConflictPolicy::kRepair; }
 
   // ----------------------------------------------------------------------
   // Reads: predicate-creating DSL operations.
@@ -88,15 +85,18 @@ class Mv3cTransaction {
   template <typename TableT, typename Closure>
   ExecStatus Lookup(TableT& table, const typename TableT::Key& key,
                     ColumnMask monitored, Closure closure) {
+    if (!repairs()) {
+      AddFlat(pool_.Create<KeyEqCriterion<TableT>>(&table, key), monitored);
+      typename TableT::Object* obj = table.Find(key);
+      return closure(*this, obj, ReadRow(table, obj));
+    }
     auto eval = [this, &table, key,
                  closure = std::move(closure)](PredicateBase* self)
         -> ExecStatus {
       typename TableT::Object* obj = table.Find(key);
-      const auto* v =
-          obj == nullptr ? nullptr : inner_.ReadVersion(table, obj);
-      return RunClosure(self, [&](Mv3cTransaction& t) {
-        return closure(t, obj, v == nullptr ? nullptr : &v->data());
-      });
+      const typename TableT::Row* row = ReadRow(table, obj);
+      return RunClosure(
+          self, [&](Mv3cTransaction& t) { return closure(t, obj, row); });
     };
     using NodeT = Node<KeyEqCriterion<TableT>, decltype(eval)>;
     NodeT* p = pool_.Create<NodeT>(std::move(eval), &table, key);
@@ -117,19 +117,20 @@ class Mv3cTransaction {
                   std::function<bool(const typename TableT::Row&)> filter,
                   ColumnMask monitored, bool reuse_result_set,
                   Closure closure) {
+    if (!repairs()) {
+      AddFlat(pool_.Create<RowFilterCriterion<TableT>>(&table, filter),
+              monitored);
+      std::vector<ScanEntry<TableT>> entries;
+      ScanTable(table, filter, &entries);
+      return closure(*this, entries);
+    }
     auto state = std::make_shared<ScanState<TableT>>();
     auto eval = [this, &table, filter, closure = std::move(closure),
                  state](PredicateBase* self) -> ExecStatus {
       if (self->reuse_result_set() && state->populated) {
         FixResultSet(table, self, filter, state.get());
       } else {
-        state->entries.clear();
-        table.ForEachObject([&](typename TableT::Object& obj) {
-          const auto* v = obj.ReadVisible(inner_.start_ts(), inner_.txn_id());
-          if (v != nullptr && filter(v->data())) {
-            state->entries.push_back({&obj, v->data()});
-          }
-        });
+        ScanTable(table, filter, &state->entries);
         state->populated = true;
       }
       self->conflict_versions().clear();
@@ -159,24 +160,19 @@ class Mv3cTransaction {
       std::function<bool(const typename TableT::Row&)> filter,
       ColumnMask monitored, size_t limit, bool reverse, Closure closure) {
     using SecKey = typename IndexT::KeyType;
+    if (!repairs()) {
+      AddFlat(pool_.Create<KeyRangeCriterion<TableT, SecKey>>(
+                  &table, lo, hi, extract, filter),
+              monitored);
+      std::vector<ScanEntry<TableT>> entries;
+      ScanIndex(index, lo, hi, filter, limit, reverse, &entries);
+      return closure(*this, entries);
+    }
     auto state = std::make_shared<ScanState<TableT>>();
-    auto eval = [this, &table, &index, lo, hi, filter, limit, reverse,
+    auto eval = [this, &index, lo, hi, filter, limit, reverse,
                  closure = std::move(closure),
                  state](PredicateBase* self) -> ExecStatus {
-      state->entries.clear();
-      auto visit = [&](const SecKey&, typename TableT::Object* obj) -> bool {
-        const auto* v = obj->ReadVisible(inner_.start_ts(), inner_.txn_id());
-        if (v != nullptr && (filter == nullptr || filter(v->data()))) {
-          state->entries.push_back({obj, v->data()});
-          if (limit != 0 && state->entries.size() >= limit) return false;
-        }
-        return true;
-      };
-      if (reverse) {
-        index.ScanRangeReverse(lo, hi, visit);
-      } else {
-        index.ScanRange(lo, hi, visit);
-      }
+      ScanIndex(index, lo, hi, filter, limit, reverse, &state->entries);
       return RunClosure(self, [&](Mv3cTransaction& t) {
         return closure(t, state->entries);
       });
@@ -201,6 +197,8 @@ class Mv3cTransaction {
   /// the program on which everything else depends should fail fast, since
   /// their repair is equivalent to a restart anyway; late or independent
   /// writes should allow multiple uncommitted versions and be repaired.
+  /// Under kRestart every write is fail-fast: OMVCC cannot repair a second
+  /// uncommitted version.
   template <typename TableT>
   ExecStatus UpdateRow(TableT& table, typename TableT::Object* obj,
                        const typename TableT::Row& new_data,
@@ -209,7 +207,9 @@ class Mv3cTransaction {
     Version<typename TableT::Row>* v = nullptr;
     const WriteStatus ws = inner_.Update(
         table, obj, new_data, modified, blind,
-        policy_override.value_or(table.ww_policy()), &v);
+        repairs() ? policy_override.value_or(table.ww_policy())
+                  : WwPolicy::kFailFast,
+        &v);
     if (ws == WriteStatus::kWwConflict) {
       return ExecStatus::kWriteWriteConflict;
     }
@@ -253,16 +253,22 @@ class Mv3cTransaction {
   /// stores a full row image, so disjoint-column blind writes would
   /// last-writer-win the whole row. All paper workloads satisfy this.
   /// No-op if the key has no visible row.
+  ///
+  /// OMVCC has no blind writes (§6.1.1: a blind write "creates a conflict
+  /// in OMVCC"): under kRestart this is a read of the modified columns
+  /// followed by a fail-fast read-modify-write.
   template <typename TableT, typename Setter>
   ExecStatus BlindUpdate(TableT& table, const typename TableT::Key& key,
                          ColumnMask modified, Setter setter) {
+    if (!repairs()) {
+      AddFlat(pool_.Create<KeyEqCriterion<TableT>>(&table, key), modified);
+    }
     typename TableT::Object* obj = table.Find(key);
-    if (obj == nullptr) return ExecStatus::kOk;
-    const auto* v = inner_.ReadVersion(table, obj);
-    if (v == nullptr) return ExecStatus::kOk;
-    typename TableT::Row copy = v->data();
+    const typename TableT::Row* row = ReadRow(table, obj);
+    if (row == nullptr) return ExecStatus::kOk;
+    typename TableT::Row copy = *row;
     setter(copy);
-    return UpdateRow(table, obj, copy, modified, /*blind=*/true);
+    return UpdateRow(table, obj, copy, modified, /*blind=*/repairs());
   }
 
   // ----------------------------------------------------------------------
@@ -284,12 +290,21 @@ class Mv3cTransaction {
   bool PrevalidateAndMark() {
     CommittedRecord* head = mgr_->rc_head();
     bool clean = ValidateAndMark(head);
-    if (MV3C_FAILPOINT(failpoint::Site::kPrevalidate) &&
-        ForceInvalidatePredicate()) {
-      clean = false;
-    }
+    if (InjectConflict(failpoint::Site::kPrevalidate, clean)) clean = false;
     if (head != nullptr) inner_.set_validated_up_to(head->commit_ts);
     return clean;
+  }
+
+  /// Failpoint support: true if `site` fires and injects a conflict into a
+  /// validation pass that found `clean`. Under kRepair the injection marks
+  /// a predicate invalid (ForceInvalidatePredicate). Under kRestart any
+  /// conflict means a restart from scratch, so reporting one is always
+  /// safe; the site is only consulted when the pass was clean.
+  bool InjectConflict(failpoint::Site site, bool clean) {
+    if (repairs()) return MV3C_FAILPOINT(site) && ForceInvalidatePredicate();
+    if (!clean || !MV3C_FAILPOINT(site)) return false;
+    ++stats_.failpoint_trips;
+    return true;
   }
 
   /// Failpoint support: marks one valid predicate invalid, pretending a
@@ -317,7 +332,18 @@ class Mv3cTransaction {
   /// cover it — unlike OMVCC, MV3C cannot stop at the first conflict
   /// (Algorithm 1 must find ALL invalid predicates), so pruning the match
   /// space is what keeps its validation competitive under contention.
+  /// Under kRestart the pass walks the flat list, stops at the first
+  /// conflict and marks nothing.
   bool ValidateAndMark(CommittedRecord* from) {
+    if (!repairs()) {
+      return TransactionManager::ForEachConcurrentVersion(
+          from, inner_.validated_up_to(), [&](const VersionBase& v) {
+            for (const PredicateBase* p : all_predicates_) {
+              if (p->ConflictsWith(v)) return false;  // abort the walk
+            }
+            return true;
+          });
+    }
     RebuildTableBucketsIfNeeded();
     bool clean = true;
     TransactionManager::ForEachConcurrentVersion(
@@ -436,7 +462,6 @@ class Mv3cTransaction {
   /// the next program (§6.2).
   void ResetGraph() {
     for (PredicateBase* p : all_predicates_) pool_.Destroy(p);
-    roots_.clear();
     all_predicates_.clear();
     current_parent_ = nullptr;
     table_buckets_dirty_ = true;
@@ -458,12 +483,59 @@ class Mv3cTransaction {
   void AttachToGraph(PredicateBase* node) {
     table_buckets_dirty_ = true;
     node->set_parent(current_parent_);
-    if (current_parent_ != nullptr) {
-      current_parent_->AddChild(node);
-    } else {
-      roots_.push_back(node);
-    }
+    if (current_parent_ != nullptr) current_parent_->AddChild(node);
     all_predicates_.push_back(node);
+  }
+
+  /// kRestart: a criterion with no parent, children, versions or closure.
+  void AddFlat(PredicateBase* p, ColumnMask monitored) {
+    p->set_monitored(monitored);
+    all_predicates_.push_back(p);
+  }
+
+  template <typename TableT>
+  const typename TableT::Row* ReadRow(TableT& table,
+                                      typename TableT::Object* obj) {
+    const auto* v = obj == nullptr ? nullptr : inner_.ReadVersion(table, obj);
+    return v == nullptr ? nullptr : &v->data();
+  }
+
+  /// Full-table scan into `out`: the visible rows that pass `filter`.
+  template <typename TableT>
+  void ScanTable(TableT& table,
+                 const std::function<bool(const typename TableT::Row&)>&
+                     filter,
+                 std::vector<ScanEntry<TableT>>* out) {
+    out->clear();
+    table.ForEachObject([&](typename TableT::Object& obj) {
+      const auto* v = obj.ReadVisible(inner_.start_ts(), inner_.txn_id());
+      if (v != nullptr && filter(v->data())) out->push_back({&obj, v->data()});
+    });
+  }
+
+  /// Ordered-index range scan into `out` (see RangeScan).
+  template <typename TableT, typename IndexT>
+  void ScanIndex(const IndexT& index, const typename IndexT::KeyType& lo,
+                 const typename IndexT::KeyType& hi,
+                 const std::function<bool(const typename TableT::Row&)>&
+                     filter,
+                 size_t limit, bool reverse,
+                 std::vector<ScanEntry<TableT>>* out) {
+    out->clear();
+    auto visit = [&](const typename IndexT::KeyType&,
+                     typename TableT::Object* obj) -> bool {
+      const auto* v = obj->ReadVisible(inner_.start_ts(), inner_.txn_id());
+      if (v != nullptr && (filter == nullptr || filter(v->data()))) {
+        out->push_back({obj, v->data()});
+        if (limit != 0 && out->size() >= limit) return false;
+      }
+      return true;
+    };
+    if (reverse) {
+      index.ScanRangeReverse(lo, hi, visit);
+    } else {
+      index.ScanRange(lo, hi, visit);
+    }
   }
 
   /// Runs `body` with `p` as the enclosing predicate, so nested reads and
@@ -540,8 +612,8 @@ class Mv3cTransaction {
 
   TransactionManager* mgr_;
   Transaction inner_;
+  ConflictPolicy policy_;
   PredicatePool pool_;
-  std::vector<PredicateBase*> roots_;
   std::vector<PredicateBase*> all_predicates_;  // creation (= topo) order
   std::vector<std::pair<TableBase*, std::vector<PredicateBase*>>>
       table_buckets_;

@@ -212,9 +212,9 @@ class PredicatePool {
 };
 
 /// One entry of a scan result-set: the data object plus a snapshot copy of
-/// its visible row; shared by the OMVCC and MV3C scan APIs.
+/// its visible row.
 template <typename TableT>
-struct ScanResultEntry {
+struct ScanEntry {
   typename TableT::Object* object;
   typename TableT::Row row;
 };

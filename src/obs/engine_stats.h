@@ -23,7 +23,8 @@
 namespace mv3c {
 
 /// MV3C engine statistics; accumulated across the transactions an executor
-/// runs, reported by benchmarks under these field names.
+/// runs, reported by benchmarks under these field names. Under the OMVCC
+/// policy (ConflictPolicy::kRestart) the repair-only counters stay 0.
 struct Mv3cStats {
   uint64_t commits = 0;
   uint64_t user_aborts = 0;
@@ -53,32 +54,6 @@ struct Mv3cStats {
     result_set_fixes += o.result_set_fixes;
     exclusive_repairs += o.exclusive_repairs;
     escalations += o.escalations;
-    exhausted += o.exhausted;
-    backoff_us += o.backoff_us;
-    failpoint_trips += o.failpoint_trips;
-    max_rounds = std::max(max_rounds, o.max_rounds);
-    versions_discarded += o.versions_discarded;
-  }
-};
-
-/// Statistics for the OMVCC baseline.
-struct OmvccStats {
-  uint64_t commits = 0;
-  uint64_t user_aborts = 0;
-  uint64_t ww_restarts = 0;          // premature aborts on WW conflicts
-  uint64_t validation_failures = 0;  // abort-and-restart on failed validation
-  uint64_t exhausted = 0;            // gave up after the attempt budget
-  uint64_t backoff_us = 0;           // microseconds slept backing off
-  uint64_t failpoint_trips = 0;      // injected faults observed
-  uint64_t max_rounds = 0;           // most failed rounds in one txn
-  uint64_t versions_discarded = 0;   // versions returned to the arena by
-                                     // restart rollbacks before commit
-
-  void Add(const OmvccStats& o) {
-    commits += o.commits;
-    user_aborts += o.user_aborts;
-    ww_restarts += o.ww_restarts;
-    validation_failures += o.validation_failures;
     exhausted += o.exhausted;
     backoff_us += o.backoff_us;
     failpoint_trips += o.failpoint_trips;
@@ -148,18 +123,6 @@ inline void RegisterCounters(MetricsRegistry* reg, const Mv3cStats* s) {
   reg->RegisterCounter("result_set_fixes", &s->result_set_fixes);
   reg->RegisterCounter("exclusive_repairs", &s->exclusive_repairs);
   reg->RegisterCounter("escalations", &s->escalations);
-  reg->RegisterCounter("exhausted", &s->exhausted);
-  reg->RegisterCounter("backoff_us", &s->backoff_us);
-  reg->RegisterCounter("failpoint_trips", &s->failpoint_trips);
-  reg->RegisterCounter("max_rounds", &s->max_rounds, MergeKind::kMax);
-  reg->RegisterCounter("versions_discarded", &s->versions_discarded);
-}
-
-inline void RegisterCounters(MetricsRegistry* reg, const OmvccStats* s) {
-  reg->RegisterCounter("commits", &s->commits);
-  reg->RegisterCounter("user_aborts", &s->user_aborts);
-  reg->RegisterCounter("ww_restarts", &s->ww_restarts);
-  reg->RegisterCounter("validation_failures", &s->validation_failures);
   reg->RegisterCounter("exhausted", &s->exhausted);
   reg->RegisterCounter("backoff_us", &s->backoff_us);
   reg->RegisterCounter("failpoint_trips", &s->failpoint_trips);

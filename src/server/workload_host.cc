@@ -4,14 +4,12 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mv3c/mv3c_executor.h"
 #include "mvcc/transaction_manager.h"
 #include "obs/engine_stats.h"
-#include "omvcc/omvcc_transaction.h"
 #include "wal/catalog.h"
 #include "wal/log_manager.h"
 #include "workloads/banking.h"
@@ -23,26 +21,11 @@
 namespace mv3c::server {
 namespace {
 
-/// §4.3 heuristic, same as bench/runners.h DefaultMv3cConfig.
+/// §4.3 heuristic, same as bench/runners.h kExclusiveRepairAfter; the
+/// OMVCC policy ignores it.
 constexpr int kExclusiveRepairAfter = 3;
 /// Maintenance cadence, mirroring ThreadDriver worker-0 behavior.
 constexpr uint64_t kMaintenanceEvery = 1024;
-
-template <typename Executor>
-std::unique_ptr<Executor> MakeExecutor(TransactionManager* mgr) {
-  if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-    Mv3cConfig cfg;
-    cfg.exclusive_repair_after = kExclusiveRepairAfter;
-    return std::make_unique<Executor>(mgr, cfg);
-  } else {
-    return std::make_unique<Executor>(mgr);
-  }
-}
-
-template <typename Executor>
-const char* EngineName() {
-  return std::is_same_v<Executor, Mv3cExecutor> ? "mv3c" : "omvcc";
-}
 
 void BusyWaitUs(uint32_t us) {
   if (us == 0) return;
@@ -54,11 +37,11 @@ void BusyWaitUs(uint32_t us) {
 
 /// Everything engine-generic: per-worker executors, the step loop, the
 /// worker-published metrics snapshots, and (when enabled) the WAL.
-/// Subclasses own the database and map opcodes to programs.
-template <typename Executor>
+/// Subclasses own the database and map opcodes to programs; the engine is
+/// the executors' conflict policy.
 class HostBase : public WorkloadHost {
  public:
-  explicit HostBase(const HostOptions& opts) : opts_(opts) {
+  HostBase(const HostOptions& opts, ConflictPolicy conflict) : opts_(opts) {
     if (opts_.wal) {
       wal::WalConfig cfg;
       cfg.dir = opts_.wal_dir;
@@ -68,27 +51,30 @@ class HostBase : public WorkloadHost {
       mgr_.EnableWal(cfg);
       sync_ack_ = opts_.sync_ack;
     }
+    RetryPolicy retry;
+    retry.exclusive_repair_after = kExclusiveRepairAfter;
     workers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
       workers_.push_back(std::make_unique<Worker>());
-      workers_.back()->exec = MakeExecutor<Executor>(&mgr_);
+      workers_.back()->exec =
+          std::make_unique<Mv3cExecutor>(&mgr_, retry, conflict);
     }
   }
 
-  const char* engine() const override { return EngineName<Executor>(); }
+  const char* engine() const override { return opts_.engine.c_str(); }
   size_t workers() const override { return opts_.workers; }
 
   Result Run(size_t worker_id, uint16_t opcode, const uint8_t* params,
              size_t param_bytes) override {
     Worker& w = *workers_[worker_id];
     BusyWaitUs(opts_.service_delay_us);
-    typename Executor::Program prog;
+    Mv3cExecutor::Program prog;
     if (!MakeProgram(opcode, params, param_bytes, &prog)) {
       Result r;
       r.status = TxnStatus::kBadRequest;
       return r;
     }
-    Executor& e = *w.exec;
+    Mv3cExecutor& e = *w.exec;
     e.Reset(std::move(prog));
     e.Begin();
     Result res;
@@ -160,7 +146,7 @@ class HostBase : public WorkloadHost {
  protected:
   virtual bool MakeProgram(uint16_t opcode, const uint8_t* params,
                            size_t param_bytes,
-                           typename Executor::Program* out) = 0;
+                           Mv3cExecutor::Program* out) = 0;
 
   HostOptions opts_;
   TransactionManager mgr_;
@@ -170,7 +156,7 @@ class HostBase : public WorkloadHost {
   /// without a WAL.
   bool sync_ack_ = false;
   struct Worker {
-    std::unique_ptr<Executor> exec;
+    std::unique_ptr<Mv3cExecutor> exec;
     uint64_t completions = 0;
     mutable std::mutex mu;
     obs::MetricsSnapshot published;  // guarded by mu
@@ -180,12 +166,11 @@ class HostBase : public WorkloadHost {
 
 // --- banking ---
 
-template <typename Executor>
-class BankingHost final : public HostBase<Executor> {
+class BankingHost final : public HostBase {
  public:
-  explicit BankingHost(const HostOptions& opts)
-      : HostBase<Executor>(opts),
-        db_(&this->mgr_, opts.scale == 0 ? 100000 : static_cast<int64_t>(
+  BankingHost(const HostOptions& opts, ConflictPolicy conflict)
+      : HostBase(opts, conflict),
+        db_(&mgr_, opts.scale == 0 ? 100000 : static_cast<int64_t>(
                                                         opts.scale),
             /*initial_balance=*/1000) {
     if (opts.wal) RegisterWalTables(cat_, db_);
@@ -201,15 +186,11 @@ class BankingHost final : public HostBase<Executor> {
 
  protected:
   bool MakeProgram(uint16_t opcode, const uint8_t* params, size_t n,
-                   typename Executor::Program* out) override {
+                   Mv3cExecutor::Program* out) override {
     if (!Accepts(opcode, n)) return false;
     banking::TransferParams p;
     std::memcpy(&p, params, sizeof(p));
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = banking::Mv3cTransferMoney(db_, p);
-    } else {
-      *out = banking::OmvccTransferMoney(db_, p);
-    }
+    *out = banking::Mv3cTransferMoney(db_, p);
     return true;
   }
 
@@ -220,12 +201,11 @@ class BankingHost final : public HostBase<Executor> {
 
 // --- trading ---
 
-template <typename Executor>
-class TradingHost final : public HostBase<Executor> {
+class TradingHost final : public HostBase {
  public:
-  explicit TradingHost(const HostOptions& opts)
-      : HostBase<Executor>(opts),
-        db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale,
+  TradingHost(const HostOptions& opts, ConflictPolicy conflict)
+      : HostBase(opts, conflict),
+        db_(&mgr_, opts.scale == 0 ? 100000 : opts.scale,
             opts.scale == 0 ? 100000 : opts.scale) {
     if (opts.wal) RegisterWalTables(cat_, db_);
     db_.Load();
@@ -245,24 +225,16 @@ class TradingHost final : public HostBase<Executor> {
 
  protected:
   bool MakeProgram(uint16_t opcode, const uint8_t* params, size_t n,
-                   typename Executor::Program* out) override {
+                   Mv3cExecutor::Program* out) override {
     if (!Accepts(opcode, n)) return false;
     if (opcode == static_cast<uint16_t>(Op::kTradeOrder)) {
       trading::TradeOrderParams p;
       std::memcpy(&p, params, sizeof(p));
-      if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-        *out = trading::Mv3cTradeOrder(db_, p);
-      } else {
-        *out = trading::OmvccTradeOrder(db_, p);
-      }
+      *out = trading::Mv3cTradeOrder(db_, p);
     } else {
       trading::PriceUpdateParams p;
       std::memcpy(&p, params, sizeof(p));
-      if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-        *out = trading::Mv3cPriceUpdate(db_, p);
-      } else {
-        *out = trading::OmvccPriceUpdate(db_, p);
-      }
+      *out = trading::Mv3cPriceUpdate(db_, p);
     }
     return true;
   }
@@ -274,12 +246,11 @@ class TradingHost final : public HostBase<Executor> {
 
 // --- tatp ---
 
-template <typename Executor>
-class TatpHost final : public HostBase<Executor> {
+class TatpHost final : public HostBase {
  public:
-  explicit TatpHost(const HostOptions& opts)
-      : HostBase<Executor>(opts),
-        db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale) {
+  TatpHost(const HostOptions& opts, ConflictPolicy conflict)
+      : HostBase(opts, conflict),
+        db_(&mgr_, opts.scale == 0 ? 100000 : opts.scale) {
     if (opts.wal) RegisterWalTables(cat_, db_);
     db_.Load();
   }
@@ -293,18 +264,14 @@ class TatpHost final : public HostBase<Executor> {
 
  protected:
   bool MakeProgram(uint16_t opcode, const uint8_t* params, size_t n,
-                   typename Executor::Program* out) override {
+                   Mv3cExecutor::Program* out) override {
     if (!Accepts(opcode, n)) return false;
     tatp::TatpParams p;
     std::memcpy(&p, params, sizeof(p));
     // Enum fields crossed the network: bound them before the program
     // switches on them.
     if (p.type > tatp::TxnType::kDeleteCallForwarding) return false;
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = tatp::Mv3cTatpProgram(db_, p);
-    } else {
-      *out = tatp::OmvccTatpProgram(db_, p);
-    }
+    *out = tatp::Mv3cTatpProgram(db_, p);
     return true;
   }
 
@@ -315,11 +282,10 @@ class TatpHost final : public HostBase<Executor> {
 
 // --- tpcc ---
 
-template <typename Executor>
-class TpccHost final : public HostBase<Executor> {
+class TpccHost final : public HostBase {
  public:
-  explicit TpccHost(const HostOptions& opts)
-      : HostBase<Executor>(opts), db_(&this->mgr_, ScaleOf(opts)) {
+  TpccHost(const HostOptions& opts, ConflictPolicy conflict)
+      : HostBase(opts, conflict), db_(&mgr_, ScaleOf(opts)) {
     if (opts.wal) RegisterWalTables(cat_, db_);
     db_.Load();
   }
@@ -332,23 +298,19 @@ class TpccHost final : public HostBase<Executor> {
   }
 
   void Maintenance() override {
-    this->mgr_.CollectGarbage();
+    mgr_.CollectGarbage();
     db_.CleanupNewOrderQueue();
   }
 
  protected:
   bool MakeProgram(uint16_t opcode, const uint8_t* params, size_t n,
-                   typename Executor::Program* out) override {
+                   Mv3cExecutor::Program* out) override {
     if (!Accepts(opcode, n)) return false;
     tpcc::TpccParams p;
     std::memcpy(&p, params, sizeof(p));
     if (p.type > tpcc::TpccTxnType::kStockLevel) return false;
     if (p.ol_cnt > tpcc::kMaxOrderLines) return false;
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = tpcc::Mv3cTpccProgram(db_, p);
-    } else {
-      *out = tpcc::OmvccTpccProgram(db_, p);
-    }
+    *out = tpcc::Mv3cTpccProgram(db_, p);
     return true;
   }
 
@@ -363,30 +325,31 @@ class TpccHost final : public HostBase<Executor> {
   wal::Catalog cat_;
 };
 
-template <typename Executor>
-std::unique_ptr<WorkloadHost> MakeForEngine(const HostOptions& opts) {
-  if (opts.workload == "banking") {
-    return std::make_unique<BankingHost<Executor>>(opts);
-  }
-  if (opts.workload == "trading") {
-    return std::make_unique<TradingHost<Executor>>(opts);
-  }
-  if (opts.workload == "tatp") {
-    return std::make_unique<TatpHost<Executor>>(opts);
-  }
-  if (opts.workload == "tpcc") {
-    return std::make_unique<TpccHost<Executor>>(opts);
-  }
-  std::fprintf(stderr, "unknown workload '%s'\n", opts.workload.c_str());
-  return nullptr;
-}
-
 }  // namespace
 
 std::unique_ptr<WorkloadHost> MakeWorkloadHost(const HostOptions& opts) {
-  if (opts.engine == "mv3c") return MakeForEngine<Mv3cExecutor>(opts);
-  if (opts.engine == "omvcc") return MakeForEngine<OmvccExecutor>(opts);
-  std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
+  ConflictPolicy conflict;
+  if (opts.engine == "mv3c") {
+    conflict = ConflictPolicy::kRepair;
+  } else if (opts.engine == "omvcc") {
+    conflict = ConflictPolicy::kRestart;
+  } else {
+    std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
+    return nullptr;
+  }
+  if (opts.workload == "banking") {
+    return std::make_unique<BankingHost>(opts, conflict);
+  }
+  if (opts.workload == "trading") {
+    return std::make_unique<TradingHost>(opts, conflict);
+  }
+  if (opts.workload == "tatp") {
+    return std::make_unique<TatpHost>(opts, conflict);
+  }
+  if (opts.workload == "tpcc") {
+    return std::make_unique<TpccHost>(opts, conflict);
+  }
+  std::fprintf(stderr, "unknown workload '%s'\n", opts.workload.c_str());
   return nullptr;
 }
 

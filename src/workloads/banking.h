@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "mv3c/mv3c_executor.h"
 #include "mv3c/mv3c_transaction.h"
-#include "omvcc/omvcc_transaction.h"
 
 namespace mv3c::banking {
 
@@ -167,33 +166,6 @@ inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
   };
 }
 
-/// TransferMoney against the OMVCC baseline (straight-line, Figure 2).
-inline OmvccExecutor::Program OmvccTransferMoney(BankingDb& db,
-                                                 TransferParams p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    const int64_t fee = FeeOf(p);
-    auto fm = t.Get(db.accounts, p.from, kBalanceMask);
-    if (fm.row == nullptr || fm.row->balance < p.amount + fee) {
-      return ExecStatus::kUserAbort;
-    }
-    AccountRow fm_new = *fm.row;
-    fm_new.balance -= p.amount + fee;
-    ExecStatus st = t.UpdateRow(db.accounts, fm.object, fm_new, kBalanceMask);
-    if (st != ExecStatus::kOk) return st;
-    auto to = t.Get(db.accounts, p.to, kBalanceMask);
-    if (to.row == nullptr) return ExecStatus::kUserAbort;
-    AccountRow to_new = *to.row;
-    to_new.balance += p.amount;
-    st = t.UpdateRow(db.accounts, to.object, to_new, kBalanceMask);
-    if (st != ExecStatus::kOk) return st;
-    if (fee == 0) return ExecStatus::kOk;
-    auto fa = t.Get(db.accounts, BankingDb::kFeeAccount, kBalanceMask);
-    AccountRow fa_new = *fa.row;
-    fa_new.balance += fee;
-    return t.UpdateRow(db.accounts, fa.object, fa_new, kBalanceMask);
-  };
-}
-
 /// SumAll: read-only scan over every account (paper Example 2).
 inline Mv3cExecutor::Program Mv3cSumAll(BankingDb& db,
                                         int64_t* out = nullptr) {
@@ -208,20 +180,6 @@ inline Mv3cExecutor::Program Mv3cSumAll(BankingDb& db,
           if (out != nullptr) *out = total;
           return ExecStatus::kOk;
         });
-  };
-}
-
-inline OmvccExecutor::Program OmvccSumAll(BankingDb& db,
-                                          int64_t* out = nullptr) {
-  return [&db, out](OmvccTransaction& t) {
-    std::vector<ScanResultEntry<AccountTable>> rs;
-    t.Scan(
-        db.accounts, [](const AccountRow&) { return true; }, kBalanceMask,
-        &rs);
-    int64_t total = 0;
-    for (const auto& e : rs) total += e.row.balance;
-    if (out != nullptr) *out = total;
-    return ExecStatus::kOk;
   };
 }
 
@@ -245,24 +203,6 @@ inline Mv3cExecutor::Program Mv3cBonus(BankingDb& db, int64_t threshold,
           }
           return ExecStatus::kOk;
         });
-  };
-}
-
-inline OmvccExecutor::Program OmvccBonus(BankingDb& db, int64_t threshold) {
-  return [&db, threshold](OmvccTransaction& t) -> ExecStatus {
-    std::vector<ScanResultEntry<AccountTable>> rs;
-    t.Scan(
-        db.accounts,
-        [threshold](const AccountRow& r) { return r.balance >= threshold; },
-        kBalanceMask, &rs);
-    for (const auto& e : rs) {
-      AccountRow n = e.row;
-      n.balance += 1;
-      const ExecStatus st =
-          t.UpdateRow(db.accounts, e.object, n, kBalanceMask);
-      if (st != ExecStatus::kOk) return st;
-    }
-    return ExecStatus::kOk;
   };
 }
 

@@ -90,7 +90,9 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
     case TxnType::kUpdateLocation:
       return [&db, p](Mv3cTransaction& t) {
         // Blind write (§2.4.1, Appendix C.1): "no conflicts among
-        // Update_Location transaction instances in MV3C".
+        // Update_Location transaction instances in MV3C". OMVCC cannot
+        // express a blind write; its restart policy turns this into a
+        // read-modify-write with fail-fast write-write detection.
         return t.BlindUpdate(
             db.subscribers, TatpDb::SubNbrOf(p.s_id),
             ColumnMask::Of(kColVlrLocation),
@@ -134,102 +136,6 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
               if (cf == nullptr) return ExecStatus::kUserAbort;
               return t.DeleteRow(db.call_forwarding, obj);
             });
-      };
-  }
-  MV3C_CHECK(false);
-  return nullptr;
-}
-
-OmvccExecutor::Program OmvccTatpProgram(TatpDb& db, const TatpParams& p) {
-  switch (p.type) {
-    case TxnType::kGetSubscriberData:
-      return [&db, p](OmvccTransaction& t) {
-        auto r = t.Get(db.subscribers, p.s_id, kAllCols);
-        return r.row == nullptr ? ExecStatus::kUserAbort : ExecStatus::kOk;
-      };
-
-    case TxnType::kGetNewDestination:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type}, kAllCols);
-        if (sf.row == nullptr || !sf.row->is_active) {
-          return ExecStatus::kUserAbort;
-        }
-        int found = 0;
-        for (uint8_t start : {0, 8, 16}) {
-          if (start > p.start_time) continue;
-          auto cf = t.Get(db.call_forwarding,
-                          CallForwardingKey{p.s_id, p.sf_type, start},
-                          kAllCols);
-          if (cf.row != nullptr && p.start_time < cf.row->end_time) ++found;
-        }
-        return found > 0 ? ExecStatus::kOk : ExecStatus::kUserAbort;
-      };
-
-    case TxnType::kGetAccessData:
-      return [&db, p](OmvccTransaction& t) {
-        auto r = t.Get(db.access_info, AccessInfoKey{p.s_id, p.ai_type},
-                       kAllCols);
-        return r.row == nullptr ? ExecStatus::kUserAbort : ExecStatus::kOk;
-      };
-
-    case TxnType::kUpdateSubscriberData:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sub = t.Get(db.subscribers, p.s_id, ColumnMask::Of(kColBits));
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        SubscriberRow n = *sub.row;
-        n.bits = (n.bits & ~1u) | p.bit;
-        ExecStatus st = t.UpdateRow(db.subscribers, sub.object, n,
-                                    ColumnMask::Of(kColBits));
-        if (st != ExecStatus::kOk) return st;
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type},
-                        ColumnMask::Of(kColDataA));
-        if (sf.row == nullptr) return ExecStatus::kUserAbort;
-        SpecialFacilityRow m = *sf.row;
-        m.data_a = p.data_a;
-        return t.UpdateRow(db.special_facilities, sf.object, m,
-                           ColumnMask::Of(kColDataA));
-      };
-
-    case TxnType::kUpdateLocation:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        // OMVCC cannot express a blind write: read-modify-write with
-        // fail-fast WW detection.
-        auto sub = t.Get(db.subscribers, TatpDb::SubNbrOf(p.s_id),
-                         ColumnMask::Of(kColVlrLocation));
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        SubscriberRow n = *sub.row;
-        n.vlr_location = p.location;
-        return t.UpdateRow(db.subscribers, sub.object, n,
-                           ColumnMask::Of(kColVlrLocation));
-      };
-
-    case TxnType::kInsertCallForwarding:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sub = t.Get(db.subscribers, TatpDb::SubNbrOf(p.s_id), kAllCols);
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type}, kAllCols);
-        if (sf.row == nullptr) return ExecStatus::kUserAbort;
-        const WriteStatus ws =
-            t.InsertRow(db.call_forwarding,
-                        CallForwardingKey{p.s_id, p.sf_type, p.start_time},
-                        CallForwardingRow{p.numberx, p.end_time});
-        if (ws == WriteStatus::kDuplicateKey) return ExecStatus::kUserAbort;
-        if (ws == WriteStatus::kWwConflict) {
-          return ExecStatus::kWriteWriteConflict;
-        }
-        return ExecStatus::kOk;
-      };
-
-    case TxnType::kDeleteCallForwarding:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto cf = t.Get(db.call_forwarding,
-                        CallForwardingKey{p.s_id, p.sf_type, p.start_time},
-                        kAllCols);
-        if (cf.row == nullptr) return ExecStatus::kUserAbort;
-        return t.DeleteRow(db.call_forwarding, cf.object);
       };
   }
   MV3C_CHECK(false);

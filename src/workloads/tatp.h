@@ -8,7 +8,6 @@
 #include "common/nurand.h"
 #include "common/random.h"
 #include "mv3c/mv3c_executor.h"
-#include "omvcc/omvcc_transaction.h"
 
 namespace mv3c::tatp {
 
@@ -282,13 +281,11 @@ class TatpGenerator {
   Xoshiro256 rng_;
 };
 
-// --- MV3C programs ---
+// --- programs ---
 
+/// The TATP program for `p`; the same program runs under both conflict
+/// policies (MV3C repair, OMVCC restart).
 Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p);
-
-// --- OMVCC programs ---
-
-OmvccExecutor::Program OmvccTatpProgram(TatpDb& db, const TatpParams& p);
 
 }  // namespace mv3c::tatp
 

@@ -12,7 +12,6 @@
 #include "common/random.h"
 #include "index/ordered_index.h"
 #include "mv3c/mv3c_executor.h"
-#include "omvcc/omvcc_transaction.h"
 
 namespace mv3c::tpcc {
 
@@ -434,8 +433,9 @@ class TpccGenerator {
 // Transaction programs
 // ---------------------------------------------------------------------------
 
+/// The TPC-C program for `p`; the same program runs under both conflict
+/// policies (MV3C repair, OMVCC restart).
 Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p);
-OmvccExecutor::Program OmvccTpccProgram(TpccDb& db, const TpccParams& p);
 
 /// TPC-C consistency conditions (spec clause 3.3.2, subset): used by tests
 /// after workload runs. Returns true and fills `why` on the first

@@ -53,10 +53,10 @@ void ArmChaosSchedule() {
   fp::Arm(fp::Site::kRetimestamp, yield);
 }
 
-Mv3cConfig ChaosConfig() {
-  Mv3cConfig config;
+RetryPolicy ChaosConfig() {
+  RetryPolicy config;
   config.exclusive_repair_after = 3;  // §4.3 heuristic: bounded rounds
-  config.retry.max_attempts = 64;
+  config.max_attempts = 64;
   return config;
 }
 
@@ -116,7 +116,7 @@ ChaosOutcome RunBankingChaos(uint64_t seed, uint64_t n_txns, size_t window) {
                   out.result.exhausted,
               n_txns);
     // Budget invariant: no transaction burned more rounds than allowed.
-    EXPECT_LE(out.stats.max_rounds, ChaosConfig().retry.max_attempts);
+    EXPECT_LE(out.stats.max_rounds, ChaosConfig().max_attempts);
     // GC invariant: once injection stops, the backlog drains completely
     // (no retired node was lost and none is still considered in use).
     // Since ISSUE 2 the same invariant covers slab retirement: any slab
@@ -235,7 +235,7 @@ TEST(ChaosSerializabilityTest, TradingChaosRunRemainsConsistent) {
     EXPECT_GT(r.committed, 0u);
     Mv3cStats stats;
     for (Mv3cExecutor* e : driver.executors()) stats.Add(e->stats());
-    EXPECT_LE(stats.max_rounds, ChaosConfig().retry.max_attempts);
+    EXPECT_LE(stats.max_rounds, ChaosConfig().max_attempts);
     if (fp::kEnabled) {
       EXPECT_GT(stats.failpoint_trips, 0u);
     }

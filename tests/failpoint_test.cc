@@ -22,6 +22,8 @@
 namespace mv3c {
 namespace {
 
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
 namespace fp = ::mv3c::failpoint;
 
 using banking::BankingDb;
@@ -214,7 +216,7 @@ TEST_F(InjectionTest, ExclusiveRepairInjectionCommitsOnTheSameAttempt) {
   cfg.max_trips = 1;
   fp::ScopedArm arm(fp::Site::kCommitExclusiveDelta, cfg);
 
-  Mv3cConfig config;
+  RetryPolicy config;
   config.exclusive_repair_after = 0;  // exclusive from the first attempt
   Mv3cExecutor exec(&mgr, config);
   const TransferParams p{/*from=*/3, /*to=*/4, /*amount=*/500, true};
@@ -233,9 +235,9 @@ TEST_F(InjectionTest, Mv3cExhaustsBudgetUnderPersistentInjection) {
   TransactionManager mgr;
   BankingDb db(&mgr, kAccounts, kInitial);
   db.Load();
-  Mv3cConfig config;
+  RetryPolicy config;
   config.exclusive_repair_after = -1;  // no escape hatch
-  config.retry.max_attempts = 6;
+  config.max_attempts = 6;
   Mv3cExecutor exec(&mgr, config);
   const TransferParams p{/*from=*/5, /*to=*/6, /*amount=*/10, true};
   {
@@ -262,17 +264,17 @@ TEST_F(InjectionTest, OmvccExhaustsBudgetUnderPersistentInjection) {
   db.Load();
   RetryPolicy policy;
   policy.max_attempts = 4;
-  OmvccExecutor exec(&mgr, policy);
+  Mv3cExecutor exec(&mgr, policy, kOmvcc);
   const TransferParams p{/*from=*/1, /*to=*/2, /*amount=*/10, true};
   {
     fp::ScopedArm arm(fp::Site::kPrevalidate, fp::Config{});
-    ASSERT_EQ(exec.Run(banking::OmvccTransferMoney(db, p)),
+    ASSERT_EQ(exec.Run(banking::Mv3cTransferMoney(db, p)),
               StepResult::kExhausted);
   }
   EXPECT_EQ(exec.stats().exhausted, 1u);
   EXPECT_EQ(exec.attempts(), 4u);
   EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
-  ASSERT_EQ(exec.Run(banking::OmvccTransferMoney(db, p)),
+  ASSERT_EQ(exec.Run(banking::Mv3cTransferMoney(db, p)),
             StepResult::kCommitted);
 }
 
@@ -372,9 +374,8 @@ TEST_F(InjectionTest, WindowDriverRoundCapGivesUpSpinningTransactions) {
   BankingDb db(&mgr, kAccounts, kInitial);
   db.Load();
   fp::ScopedArm arm(fp::Site::kPrevalidate, fp::Config{});  // always fail
-  Mv3cConfig config;
+  RetryPolicy config = RetryPolicy::Unbounded();
   config.exclusive_repair_after = -1;
-  config.retry = RetryPolicy::Unbounded();
   WindowDriver<Mv3cExecutor> driver(
       2, [&](...) { return std::make_unique<Mv3cExecutor>(&mgr, config); },
       [&] { mgr.CollectGarbage(); });

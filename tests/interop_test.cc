@@ -1,5 +1,6 @@
 // Deterministic §3 interoperability tests: MV3C and OMVCC transactions
-// against one TransactionManager. The only cross-engine interface is the
+// (the same programs under ConflictPolicy::kRestart) against one
+// TransactionManager. The only cross-engine interface is the
 // recently-committed list, so each engine must detect the other's commits
 // in validation, and blind-write semantics must hold across engines.
 
@@ -12,6 +13,8 @@ namespace {
 
 using banking::AccountRow;
 using banking::BankingDb;
+
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
 
 class InteropTest : public ::testing::Test {
  protected:
@@ -27,8 +30,8 @@ TEST_F(InteropTest, Mv3cDetectsOmvccCommit) {
   Mv3cExecutor victim(&mgr_);
   victim.Reset(banking::Mv3cTransferMoney(db_, {1, 2, 200, true}));
   victim.Begin();
-  OmvccExecutor intruder(&mgr_);
-  ASSERT_EQ(intruder.Run(banking::OmvccTransferMoney(db_, {3, 4, 300, true})),
+  Mv3cExecutor intruder(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(intruder.Run(banking::Mv3cTransferMoney(db_, {3, 4, 300, true})),
             StepResult::kCommitted);
   ASSERT_EQ(victim.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(victim.stats().validation_failures, 1u);
@@ -39,8 +42,8 @@ TEST_F(InteropTest, Mv3cDetectsOmvccCommit) {
 }
 
 TEST_F(InteropTest, OmvccDetectsMv3cCommit) {
-  OmvccExecutor victim(&mgr_);
-  victim.Reset(banking::OmvccTransferMoney(db_, {5, 6, 150, true}));
+  Mv3cExecutor victim(&mgr_, {}, kOmvcc);
+  victim.Reset(banking::Mv3cTransferMoney(db_, {5, 6, 150, true}));
   victim.Begin();
   Mv3cExecutor intruder(&mgr_);
   ASSERT_EQ(intruder.Run(banking::Mv3cTransferMoney(db_, {7, 8, 250, true})),
@@ -71,8 +74,8 @@ TEST_F(InteropTest, CommitTimestampsInterleaveAcrossEngines) {
       EXPECT_GT(e.last_commit_ts(), last);
       last = e.last_commit_ts();
     } else {
-      OmvccExecutor e(&mgr_);
-      e.MustRun(banking::OmvccTransferMoney(
+      Mv3cExecutor e(&mgr_, {}, kOmvcc);
+      e.MustRun(banking::Mv3cTransferMoney(
           db_, {1 + i % 8, 9 + i % 7, 10 + i, false}));
       EXPECT_GT(e.last_commit_ts(), last);
       last = e.last_commit_ts();
@@ -84,8 +87,8 @@ TEST_F(InteropTest, CommitTimestampsInterleaveAcrossEngines) {
 TEST_F(InteropTest, Mv3cBlindWriteInvisibleToOmvccValidationOfOtherColumns) {
   // An MV3C blind date-stamp on the fee account must not invalidate an
   // OMVCC transfer that only monitors balances (§4.1 across engines).
-  OmvccExecutor transfer(&mgr_);
-  transfer.Reset(banking::OmvccTransferMoney(db_, {2, 3, 100, false}));
+  Mv3cExecutor transfer(&mgr_, {}, kOmvcc);
+  transfer.Reset(banking::Mv3cTransferMoney(db_, {2, 3, 100, false}));
   transfer.Begin();
   Mv3cExecutor stamp(&mgr_);
   ASSERT_EQ(stamp.Run([&](Mv3cTransaction& t) {

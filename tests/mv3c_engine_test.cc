@@ -512,7 +512,7 @@ TEST_F(Mv3cEngineTest, ResultSetReuseFixesScan) {
 // commit critical section and the transaction commits immediately.
 TEST_F(Mv3cEngineTest, ExclusiveRepairCommitsAfterThreshold) {
   Seed(10, 1000);
-  Mv3cConfig cfg;
+  RetryPolicy cfg;
   cfg.exclusive_repair_after = 1;
   Mv3cExecutor victim(&mgr_, cfg);
   victim.Reset(TransferMoney(1, 2, 200));

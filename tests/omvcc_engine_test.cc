@@ -1,10 +1,12 @@
-// OMVCC baseline tests (paper §2.1): precision-locking validation over a
-// flat predicate list, early exit at the first conflict, full abort-and-
+// OMVCC baseline tests (paper §2.1): the MV3C executor under
+// ConflictPolicy::kRestart. Precision-locking validation over a flat
+// predicate list, early exit at the first conflict, full abort-and-
 // restart, and premature aborts on write-write conflicts.
 
 #include <gtest/gtest.h>
 
-#include "omvcc/omvcc_transaction.h"
+#include <functional>
+
 #include "workloads/banking.h"
 
 namespace mv3c {
@@ -13,6 +15,24 @@ namespace {
 using banking::AccountRow;
 using banking::BankingDb;
 using banking::TransferParams;
+
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
+/// A read-modify-write of one balance: a point read plus an update of the
+/// balance to f(balance).
+Mv3cExecutor::Program UpdateBalance(BankingDb& db, int64_t id,
+                                    std::function<int64_t(int64_t)> f) {
+  return [&db, id, f](Mv3cTransaction& t) {
+    return t.Lookup(
+        db.accounts, id, banking::kBalanceMask,
+        [&db, f](Mv3cTransaction& t, banking::AccountTable::Object* obj,
+                 const AccountRow* row) {
+          AccountRow n = *row;
+          n.balance = f(n.balance);
+          return t.UpdateRow(db.accounts, obj, n, banking::kBalanceMask);
+        });
+  };
+}
 
 class OmvccEngineTest : public ::testing::Test {
  protected:
@@ -23,8 +43,8 @@ class OmvccEngineTest : public ::testing::Test {
 };
 
 TEST_F(OmvccEngineTest, SimpleCommit) {
-  OmvccExecutor e(&mgr_);
-  EXPECT_EQ(e.Run(banking::OmvccTransferMoney(db_, {1, 2, 200, true})),
+  Mv3cExecutor e(&mgr_, {}, kOmvcc);
+  EXPECT_EQ(e.Run(banking::Mv3cTransferMoney(db_, {1, 2, 200, true})),
             StepResult::kCommitted);
   EXPECT_EQ(db_.BalanceOf(1), 1000 - 202);
   EXPECT_EQ(db_.BalanceOf(2), 1200);
@@ -32,19 +52,29 @@ TEST_F(OmvccEngineTest, SimpleCommit) {
 }
 
 TEST_F(OmvccEngineTest, PredicateListIsFlat) {
-  OmvccTransaction t(&mgr_);
+  Mv3cTransaction t(&mgr_, kOmvcc);
   mgr_.Begin(&t.inner());
-  ASSERT_EQ(banking::OmvccTransferMoney(db_, {1, 2, 200, true})(t),
+  ASSERT_EQ(banking::Mv3cTransferMoney(db_, {1, 2, 200, true})(t),
             ExecStatus::kOk);
-  // Three key-equality predicates, no graph.
+  // Three key-equality predicates, no graph: no parents, no children and
+  // no versions registered with any of them.
   EXPECT_EQ(t.PredicateCount(), 3u);
+  for (PredicateBase* p : t.predicates()) {
+    EXPECT_EQ(p->parent(), nullptr);
+    size_t children = 0, versions = 0;
+    p->ForEachChild([&](PredicateBase*) { ++children; });
+    p->ForEachVersion([&](VersionBase*) { ++versions; });
+    EXPECT_EQ(children, 0u);
+    EXPECT_EQ(versions, 0u);
+  }
+  EXPECT_EQ(t.inner().undo_buffer().size(), 3u);  // the writes still happen
   t.RollbackAll();
   mgr_.FinishAborted(&t.inner());
 }
 
 TEST_F(OmvccEngineTest, ValidationFailureRestartsFromScratch) {
-  OmvccExecutor victim(&mgr_);
-  victim.Reset(banking::OmvccTransferMoney(db_, {1, 2, 200, true}));
+  Mv3cExecutor victim(&mgr_, {}, kOmvcc);
+  victim.Reset(banking::Mv3cTransferMoney(db_, {1, 2, 200, true}));
   victim.Begin();
   // Concurrent committed transfer invalidates the victim's fee predicate.
   // OMVCC writes are fail-fast: the victim already wrote the fee account?
@@ -52,8 +82,8 @@ TEST_F(OmvccEngineTest, ValidationFailureRestartsFromScratch) {
   // transaction first, then step the victim: its execution reads the fee
   // account *after* the other committed, but its start timestamp is older,
   // so validation fails (read-write conflict).
-  OmvccExecutor other(&mgr_);
-  ASSERT_EQ(other.Run(banking::OmvccTransferMoney(db_, {3, 4, 400, true})),
+  Mv3cExecutor other(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(other.Run(banking::Mv3cTransferMoney(db_, {3, 4, 400, true})),
             StepResult::kCommitted);
   StepResult r = victim.Step();
   // Depending on interleaving this is a WW fail-fast (committed version
@@ -74,22 +104,23 @@ TEST_F(OmvccEngineTest, ValidationFailureRestartsFromScratch) {
 TEST_F(OmvccEngineTest, BlindWriteStyleUpdateStillConflictsInOmvcc) {
   // §6.1.1: "PriceUpdate consists of a blind write operation, which does
   // not lead to a conflict in MV3C, but creates a conflict in OMVCC."
-  // In OMVCC every update is a read-modify-write with fail-fast WW.
-  OmvccExecutor a(&mgr_), b(&mgr_);
-  auto bump = [this](int64_t delta) {
-    return [this, delta](OmvccTransaction& t) -> ExecStatus {
-      auto r = t.Get(db_.accounts, 5, banking::kBalanceMask);
-      AccountRow n = *r.row;
-      n.balance += delta;
-      return t.UpdateRow(db_.accounts, r.object, n, banking::kBalanceMask);
+  // In OMVCC every update is a read-modify-write with fail-fast WW, even
+  // where the table allows multiple uncommitted versions (Account does):
+  // a BlindUpdate reads its row, and both it and a plain update fail fast.
+  Mv3cExecutor a(&mgr_, {}, kOmvcc), b(&mgr_, {}, kOmvcc);
+  auto blind_bump = [this](int64_t delta) -> Mv3cExecutor::Program {
+    return [this, delta](Mv3cTransaction& t) {
+      return t.BlindUpdate(db_.accounts, 5, banking::kBalanceMask,
+                           [delta](AccountRow& r) { r.balance += delta; });
     };
   };
-  a.Reset(bump(1));
-  b.Reset(bump(2));
+  a.Reset(blind_bump(1));
+  b.Reset(UpdateBalance(db_, 5, [](int64_t v) { return v + 2; }));
   a.Begin();
   b.Begin();
   // a executes but does not commit; b then hits a's uncommitted version.
-  ASSERT_EQ(bump(1)(a.txn()), ExecStatus::kOk);
+  ASSERT_EQ(blind_bump(1)(a.txn()), ExecStatus::kOk);
+  EXPECT_EQ(a.txn().PredicateCount(), 1u);  // the blind write became a read
   ASSERT_EQ(b.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(b.stats().ww_restarts, 1u);
   a.txn().RollbackAll();
@@ -105,21 +136,21 @@ TEST_F(OmvccEngineTest, BlindWriteStyleUpdateStillConflictsInOmvcc) {
 }
 
 TEST_F(OmvccEngineTest, UserAbortNeverRestarts) {
-  OmvccExecutor e(&mgr_);
-  EXPECT_EQ(e.Run(banking::OmvccTransferMoney(db_, {1, 2, 100000, true})),
+  Mv3cExecutor e(&mgr_, {}, kOmvcc);
+  EXPECT_EQ(e.Run(banking::Mv3cTransferMoney(db_, {1, 2, 100000, true})),
             StepResult::kUserAborted);
   EXPECT_EQ(e.stats().user_aborts, 1u);
   EXPECT_EQ(db_.BalanceOf(1), 1000);
 }
 
 TEST_F(OmvccEngineTest, ReadOnlyCommitsAtStartTimestamp) {
-  OmvccExecutor ro(&mgr_);
+  Mv3cExecutor ro(&mgr_, {}, kOmvcc);
   int64_t sum = 0;
-  ro.Reset(banking::OmvccSumAll(db_, &sum));
+  ro.Reset(banking::Mv3cSumAll(db_, &sum));
   ro.Begin();
   // Concurrent writer commits in between.
-  OmvccExecutor w(&mgr_);
-  ASSERT_EQ(w.Run(banking::OmvccTransferMoney(db_, {1, 2, 100, true})),
+  Mv3cExecutor w(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(w.Run(banking::Mv3cTransferMoney(db_, {1, 2, 100, true})),
             StepResult::kCommitted);
   ASSERT_EQ(ro.Step(), StepResult::kCommitted);
   EXPECT_EQ(ro.last_commit_ts(), ro.txn().inner().start_ts());
@@ -129,35 +160,23 @@ TEST_F(OmvccEngineTest, ReadOnlyCommitsAtStartTimestamp) {
 // OMVCC's scan predicate catches phantom-style changes: a row entering the
 // Bonus result set after the scan fails validation.
 TEST_F(OmvccEngineTest, ScanPredicateCatchesResultSetChange) {
-  OmvccExecutor bonus(&mgr_);
-  bonus.Reset(banking::OmvccBonus(db_, 2000));  // nobody qualifies yet
+  Mv3cExecutor bonus(&mgr_, {}, kOmvcc);
+  bonus.Reset(banking::Mv3cBonus(db_, 2000, false));  // nobody qualifies yet
   bonus.Begin();
   // Push account 3 over the threshold concurrently.
-  OmvccExecutor w(&mgr_);
-  ASSERT_EQ(w.Run([this](OmvccTransaction& t) -> ExecStatus {
-              auto r = t.Get(db_.accounts, 3, banking::kBalanceMask);
-              AccountRow n = *r.row;
-              n.balance = 5000;
-              return t.UpdateRow(db_.accounts, r.object, n,
-                                 banking::kBalanceMask);
-            }),
+  Mv3cExecutor w(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(w.Run(UpdateBalance(db_, 3, [](int64_t) { return int64_t{5000}; })),
             StepResult::kCommitted);
   StepResult r = bonus.Step();
   // The bonus wrote nothing (its snapshot has no qualifying accounts), so
   // it is read-only and commits at its start timestamp — consistent.
   ASSERT_EQ(r, StepResult::kCommitted);
   // Run another bonus that DOES write, with a concurrent threshold-crosser.
-  OmvccExecutor bonus2(&mgr_);
-  bonus2.Reset(banking::OmvccBonus(db_, 4000));  // account 3 qualifies now
+  Mv3cExecutor bonus2(&mgr_, {}, kOmvcc);
+  bonus2.Reset(banking::Mv3cBonus(db_, 4000, false));  // account 3 qualifies
   bonus2.Begin();
-  OmvccExecutor w2(&mgr_);
-  ASSERT_EQ(w2.Run([this](OmvccTransaction& t) -> ExecStatus {
-              auto r2 = t.Get(db_.accounts, 7, banking::kBalanceMask);
-              AccountRow n = *r2.row;
-              n.balance = 4500;
-              return t.UpdateRow(db_.accounts, r2.object, n,
-                                 banking::kBalanceMask);
-            }),
+  Mv3cExecutor w2(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(w2.Run(UpdateBalance(db_, 7, [](int64_t) { return int64_t{4500}; })),
             StepResult::kCommitted);
   r = bonus2.Step();
   ASSERT_EQ(r, StepResult::kNeedsRetry);  // account 7 entered the set

@@ -20,6 +20,12 @@
 namespace mv3c {
 namespace {
 
+/// An OMVCC executor: the MV3C executor under the restart policy.
+std::unique_ptr<Mv3cExecutor> MakeOmvcc(TransactionManager* mgr) {
+  return std::make_unique<Mv3cExecutor>(mgr, RetryPolicy{},
+                                        ConflictPolicy::kRestart);
+}
+
 using banking::AccountRow;
 using banking::BankingDb;
 using banking::TransferParams;
@@ -109,19 +115,19 @@ TEST_P(WindowSerializabilityTest, OmvccWindowRunIsCommitOrderSerializable) {
   const auto stream = MakeStream(/*fee_percent=*/100, /*seed=*/19 + window);
 
   std::vector<std::pair<Timestamp, TransferParams>> committed;
-  WindowDriver<OmvccExecutor> driver(
-      window, [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
+  WindowDriver<Mv3cExecutor> driver(
+      window, [&](...) { return MakeOmvcc(&mgr); },
       [&] { mgr.CollectGarbage(); });
   driver.set_on_complete(
-      [&](uint64_t idx, StepResult r, OmvccExecutor& exec) {
+      [&](uint64_t idx, StepResult r, Mv3cExecutor& exec) {
         if (r == StepResult::kCommitted) {
           committed.push_back({exec.last_commit_ts(), stream[idx]});
         }
       });
   const DriveResult result =
-      driver.Run(CountedSource<OmvccExecutor::Program>(
+      driver.Run(CountedSource<Mv3cExecutor::Program>(
           kTxns, [&](uint64_t i) {
-            return banking::OmvccTransferMoney(db, stream[i]);
+            return banking::Mv3cTransferMoney(db, stream[i]);
           }));
   // The retry budget may shed a few starved transactions as kExhausted
   // (they are rolled back and excluded from the serial reference).
@@ -153,16 +159,16 @@ TEST_P(WindowSerializabilityTest, MixedEnginesInteroperate) {
   WindowDriver<Mv3cExecutor> mv3c_driver(
       std::max<size_t>(1, window / 2),
       [&](...) { return std::make_unique<Mv3cExecutor>(&mgr); });
-  WindowDriver<OmvccExecutor> omvcc_driver(
+  WindowDriver<Mv3cExecutor> omvcc_driver(
       std::max<size_t>(1, window / 2),
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); });
+      [&](...) { return MakeOmvcc(&mgr); });
   mv3c_driver.set_on_complete(
       [&](uint64_t idx, StepResult r, Mv3cExecutor& e) {
         if (r == StepResult::kCommitted)
           record(e.last_commit_ts(), stream[idx * 2]);
       });
   omvcc_driver.set_on_complete(
-      [&](uint64_t idx, StepResult r, OmvccExecutor& e) {
+      [&](uint64_t idx, StepResult r, Mv3cExecutor& e) {
         if (r == StepResult::kCommitted)
           record(e.last_commit_ts(), stream[idx * 2 + 1]);
       });
@@ -175,9 +181,9 @@ TEST_P(WindowSerializabilityTest, MixedEnginesInteroperate) {
         }));
   });
   std::thread t2([&] {
-    omvcc_driver.Run(CountedSource<OmvccExecutor::Program>(
+    omvcc_driver.Run(CountedSource<Mv3cExecutor::Program>(
         kTxns / 2, [&](uint64_t i) {
-          return banking::OmvccTransferMoney(db, stream[i * 2 + 1]);
+          return banking::Mv3cTransferMoney(db, stream[i * 2 + 1]);
         }));
   });
   t1.join();
@@ -252,9 +258,9 @@ TEST(ThreadedSerializabilityTest, MixedPolicyStressConservesMoney) {
   std::vector<TransferParams> stream;
   for (uint64_t i = 0; i < kTxns; ++i) stream.push_back(gen.Next());
 
-  const DriveResult result = ThreadDriver<OmvccExecutor>::Run(
-      4, kTxns, [&](size_t) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i, size_t) { return banking::OmvccTransferMoney(db, stream[i]); },
+  const DriveResult result = ThreadDriver<Mv3cExecutor>::Run(
+      4, kTxns, [&](size_t) { return MakeOmvcc(&mgr); },
+      [&](uint64_t i, size_t) { return banking::Mv3cTransferMoney(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
   // The retry budget may shed a few starved transactions as kExhausted
   // (they are rolled back and excluded from the serial reference).

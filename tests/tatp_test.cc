@@ -10,6 +10,8 @@
 namespace mv3c {
 namespace {
 
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
 using namespace mv3c::tatp;  // NOLINT
 
 class TatpTest : public ::testing::Test {
@@ -42,8 +44,8 @@ TEST_F(TatpTest, AllTransactionTypesRunUnderBothEngines) {
     } else {
       ++aborted_mv3c;
     }
-    OmvccExecutor o(&mgr_);
-    if (o.Run(OmvccTatpProgram(db_, p)) == StepResult::kCommitted) {
+    Mv3cExecutor o(&mgr_, {}, kOmvcc);
+    if (o.Run(Mv3cTatpProgram(db_, p)) == StepResult::kCommitted) {
       ++committed_omvcc;
     } else {
       ++aborted_omvcc;
@@ -77,12 +79,12 @@ TEST_F(TatpTest, UpdateLocationBlindWriteAsymmetry) {
   EXPECT_EQ(b.stats().validation_failures, 0u);
 
   // Two concurrent OMVCC UPDATE_LOCATIONs: the second prematurely aborts.
-  OmvccExecutor c(&mgr_), d(&mgr_);
-  c.Reset(OmvccTatpProgram(db_, p));
-  d.Reset(OmvccTatpProgram(db_, p2));
+  Mv3cExecutor c(&mgr_, {}, kOmvcc), d(&mgr_, {}, kOmvcc);
+  c.Reset(Mv3cTatpProgram(db_, p));
+  d.Reset(Mv3cTatpProgram(db_, p2));
   c.Begin();
   d.Begin();
-  ASSERT_EQ(OmvccTatpProgram(db_, p)(c.txn()), ExecStatus::kOk);
+  ASSERT_EQ(Mv3cTatpProgram(db_, p)(c.txn()), ExecStatus::kOk);
   ASSERT_EQ(d.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(d.stats().ww_restarts, 1u);
   c.txn().RollbackAll();

@@ -14,6 +14,8 @@
 namespace mv3c {
 namespace {
 
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
 using namespace mv3c::tpcc;  // NOLINT
 
 TpccScale TestScale() {
@@ -84,8 +86,8 @@ TEST_F(TpccTest, NewOrderInvalidItemRollsBack) {
     EXPECT_EQ(ghost->ReadVisible(kTxnIdBase - 1, 0), nullptr);
   }
 
-  OmvccExecutor o(&mgr_);
-  ASSERT_EQ(o.Run(OmvccTpccProgram(db_, p)), StepResult::kUserAborted);
+  Mv3cExecutor o(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kUserAborted);
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
 }
 
@@ -104,8 +106,8 @@ TEST_F(TpccTest, PaymentByIdAndByLastName) {
 
   p.by_last_name = true;
   p.c_last = 3;  // last-name ids 0..99 exist for the 100 customers
-  OmvccExecutor o(&mgr_);
-  ASSERT_EQ(o.Run(OmvccTpccProgram(db_, p)), StepResult::kCommitted);
+  Mv3cExecutor o(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
 
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
@@ -123,8 +125,8 @@ TEST_F(TpccTest, DeliveryDrainsNewOrders) {
   ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
   // One new-order per district delivered (tombstoned, object remains).
   // Check via a second delivery picking the NEXT order.
-  OmvccExecutor o(&mgr_);
-  ASSERT_EQ(o.Run(OmvccTpccProgram(db_, p)), StepResult::kCommitted);
+  Mv3cExecutor o(&mgr_, {}, kOmvcc);
+  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
 }
@@ -279,12 +281,15 @@ TEST_F(TpccTest, WindowMixedRunKeepsConsistency) {
   TransactionManager mgr2;
   TpccDb db2(&mgr2, TestScale());
   db2.Load(7);
-  WindowDriver<OmvccExecutor> driver2(
-      8, [&](...) { return std::make_unique<OmvccExecutor>(&mgr2); },
+  WindowDriver<Mv3cExecutor> driver2(
+      8,
+      [&](...) {
+        return std::make_unique<Mv3cExecutor>(&mgr2, RetryPolicy{}, kOmvcc);
+      },
       [&] { mgr2.CollectGarbage(); });
-  const DriveResult res2 = driver2.Run(CountedSource<OmvccExecutor::Program>(
+  const DriveResult res2 = driver2.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(),
-      [&](uint64_t i) { return OmvccTpccProgram(db2, stream[i]); }));
+      [&](uint64_t i) { return Mv3cTpccProgram(db2, stream[i]); }));
   EXPECT_EQ(res2.committed + res2.user_aborted, stream.size());
   EXPECT_TRUE(CheckConsistency(db2, &why)) << why;
 }
@@ -383,13 +388,8 @@ TEST(TpccMultiWarehouseTest, RemoteLineClearsAllLocalOnEveryEngine) {
     TransactionManager mgr;
     TpccDb db(&mgr, scale);
     db.Load(7);
-    if (use_mv3c) {
-      Mv3cExecutor e(&mgr);
-      ASSERT_EQ(e.Run(Mv3cTpccProgram(db, p)), StepResult::kCommitted);
-    } else {
-      OmvccExecutor e(&mgr);
-      ASSERT_EQ(e.Run(OmvccTpccProgram(db, p)), StepResult::kCommitted);
-    }
+    Mv3cExecutor e(&mgr, {}, use_mv3c ? ConflictPolicy::kRepair : kOmvcc);
+    ASSERT_EQ(e.Run(Mv3cTpccProgram(db, p)), StepResult::kCommitted);
     const auto* v = db.orders.Find(okey)->ReadVisible(kTxnIdBase - 1, 0);
     ASSERT_NE(v, nullptr);
     EXPECT_FALSE(v->data().all_local);

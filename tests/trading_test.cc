@@ -11,6 +11,8 @@
 namespace mv3c {
 namespace {
 
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
 using namespace mv3c::trading;  // NOLINT
 
 class TradingTest : public ::testing::Test {
@@ -102,13 +104,13 @@ TEST_F(TradingTest, PriceUpdateBlindWriteNeverConflictsInMv3c) {
 }
 
 TEST_F(TradingTest, PriceUpdateConflictsInOmvcc) {
-  OmvccExecutor a(&mgr_), b(&mgr_);
-  a.Reset(OmvccPriceUpdate(db_, {7, 1111}));
-  b.Reset(OmvccPriceUpdate(db_, {7, 2222}));
+  Mv3cExecutor a(&mgr_, {}, kOmvcc), b(&mgr_, {}, kOmvcc);
+  a.Reset(Mv3cPriceUpdate(db_, {7, 1111}));
+  b.Reset(Mv3cPriceUpdate(db_, {7, 2222}));
   a.Begin();
   b.Begin();
   // a executes without committing: b fail-fasts on the uncommitted version.
-  ASSERT_EQ(OmvccPriceUpdate(db_, {7, 1111})(a.txn()), ExecStatus::kOk);
+  ASSERT_EQ(Mv3cPriceUpdate(db_, {7, 1111})(a.txn()), ExecStatus::kOk);
   ASSERT_EQ(b.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(b.stats().ww_restarts, 1u);
   a.txn().RollbackAll();
@@ -198,14 +200,17 @@ TEST_F(TradingTest, WindowRunBothEnginesComplete) {
   TransactionManager mgr2;
   TradingDb db2(&mgr2, 1000, 500);
   db2.Load();
-  WindowDriver<OmvccExecutor> driver2(
-      16, [&](...) { return std::make_unique<OmvccExecutor>(&mgr2); },
+  WindowDriver<Mv3cExecutor> driver2(
+      16,
+      [&](...) {
+        return std::make_unique<Mv3cExecutor>(&mgr2, RetryPolicy{}, kOmvcc);
+      },
       [&] { mgr2.CollectGarbage(); });
-  const DriveResult res2 = driver2.Run(CountedSource<OmvccExecutor::Program>(
-      stream.size(), [&](uint64_t i) -> OmvccExecutor::Program {
+  const DriveResult res2 = driver2.Run(CountedSource<Mv3cExecutor::Program>(
+      stream.size(), [&](uint64_t i) -> Mv3cExecutor::Program {
         const auto& txn = stream[i];
-        return txn.is_trade_order ? OmvccTradeOrder(db2, txn.order)
-                                  : OmvccPriceUpdate(db2, txn.price);
+        return txn.is_trade_order ? Mv3cTradeOrder(db2, txn.order)
+                                  : Mv3cPriceUpdate(db2, txn.price);
       }));
   EXPECT_EQ(res2.committed, stream.size());
   // Same number of trades recorded by both engines.

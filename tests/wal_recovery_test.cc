@@ -34,6 +34,8 @@
 namespace mv3c {
 namespace {
 
+constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
+
 namespace fs = std::filesystem;
 
 class WalRecoveryTest : public ::testing::Test {
@@ -149,10 +151,10 @@ TEST_F(WalRecoveryTest, BankingOmvcc) {
   db.Load();
 
   banking::TransferGenerator gen(kAccounts, 50, /*seed=*/7);
-  OmvccExecutor e(&mgr);
+  Mv3cExecutor e(&mgr, {}, kOmvcc);
   uint64_t committed = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (e.Run(banking::OmvccTransferMoney(db, gen.Next())) ==
+    if (e.Run(banking::Mv3cTransferMoney(db, gen.Next())) ==
         StepResult::kCommitted) {
       ++committed;
     }
