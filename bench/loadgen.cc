@@ -13,7 +13,8 @@
 //
 // Emits one RUNJSON line compatible with scripts/bench_capture.sh /
 // bench_compare.sh, keyed by (bench, engine, arrival_rate), carrying
-// achieved throughput, shed fraction, and committed-response p50/p99/p999.
+// achieved throughput, shed fraction, committed-response p50/p99/p999, and
+// how many committed responses carried the durable flag.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -49,6 +50,7 @@ using server::MonotonicNowNs;
 using server::Op;
 using server::ResponseHeader;
 using server::TxnStatus;
+using server::kRespFlagDurable;
 
 struct Options {
   std::string host = "127.0.0.1";
@@ -114,6 +116,7 @@ struct ConnStats {
   uint64_t sent = 0;       // requests that reached the socket
   uint64_t acked = 0;      // responses received (any status)
   uint64_t committed = 0;
+  uint64_t durable = 0;  // committed acks carrying kRespFlagDurable
   uint64_t user_aborted = 0;
   uint64_t exhausted = 0;
   uint64_t shed_overload = 0;
@@ -130,6 +133,7 @@ struct ConnStats {
     sent += o.sent;
     acked += o.acked;
     committed += o.committed;
+    durable += o.durable;
     user_aborted += o.user_aborted;
     exhausted += o.exhausted;
     shed_overload += o.shed_overload;
@@ -225,6 +229,7 @@ void RunConn(const Options& opts, size_t idx, ConnStats* out) {
     switch (static_cast<TxnStatus>(rh.status)) {
       case TxnStatus::kCommitted:
         st.committed++;
+        if ((rh.flags & kRespFlagDurable) != 0) st.durable++;
         st.commit_lat_ns.push_back(lat);
         break;
       case TxnStatus::kUserAborted:
@@ -425,14 +430,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "workload=%s rate=%.0f/s x %.1fs (%zu conns): scheduled=%llu "
-      "sent=%llu acked=%llu committed=%llu (%.1f/s) aborted=%llu "
-      "exhausted=%llu "
+      "sent=%llu acked=%llu committed=%llu (%.1f/s) durable=%llu "
+      "aborted=%llu exhausted=%llu "
       "shed=%llu (%.1f%%) unanswered=%llu proto_err=%llu\n",
       opts.workload.c_str(), opts.rate, secs, opts.connections,
       static_cast<unsigned long long>(all.scheduled),
       static_cast<unsigned long long>(all.sent),
       static_cast<unsigned long long>(all.acked),
       static_cast<unsigned long long>(all.committed), goodput,
+      static_cast<unsigned long long>(all.durable),
       static_cast<unsigned long long>(all.user_aborted),
       static_cast<unsigned long long>(all.exhausted),
       static_cast<unsigned long long>(shed), shed_fraction * 100,
@@ -449,14 +455,15 @@ int main(int argc, char** argv) {
   // cross-bench comparable number); serving-specific keys ride alongside.
   std::printf(
       "RUNJSON {\"bench\":\"serve_%s\",\"engine\":\"%s\",\"window\":0,"
-      "\"seconds\":%.6f,\"committed\":%llu,\"tps\":%.1f,"
-      "\"arrival_rate\":%.1f,\"scheduled\":%llu,\"sent\":%llu,"
+      "\"seconds\":%.6f,\"committed\":%llu,\"durable\":%llu,"
+      "\"tps\":%.1f,\"arrival_rate\":%.1f,\"scheduled\":%llu,\"sent\":%llu,"
       "\"achieved_rps\":%.1f,\"acked\":%llu,"
       "\"shed\":%llu,\"shed_fraction\":%.6f,\"exhausted\":%llu,"
       "\"unanswered\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f,"
       "\"p999_us\":%.1f,\"acked_p50_us\":%.1f,\"acked_p99_us\":%.1f}\n",
       opts.workload.c_str(), opts.engine.c_str(), secs,
-      static_cast<unsigned long long>(all.committed), goodput, opts.rate,
+      static_cast<unsigned long long>(all.committed),
+      static_cast<unsigned long long>(all.durable), goodput, opts.rate,
       static_cast<unsigned long long>(all.scheduled),
       static_cast<unsigned long long>(all.sent), achieved,
       static_cast<unsigned long long>(all.acked),

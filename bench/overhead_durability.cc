@@ -23,8 +23,10 @@ namespace {
 namespace fs = std::filesystem;
 
 /// RunBanking(kMv3c, ...) with a WAL attached; `ack` selects the commit-path
-/// regime. The log directory is wiped before each run so segment sizes are
-/// comparable.
+/// regime. Under sync ack every commit waits for its own epoch before the
+/// next transaction is taken, as a client that needs a durable answer per
+/// transaction sees it (executors never wait themselves). The log
+/// directory is wiped before each run so segment sizes are comparable.
 RunResult RunBankingMv3cWal(size_t window, const BankingSetup& s,
                             wal::WalConfig::Ack ack, const fs::path& dir,
                             uint32_t partitions = 1) {
@@ -42,13 +44,21 @@ RunResult RunBankingMv3cWal(size_t window, const BankingSetup& s,
   banking::TransferGenerator gen(s.accounts, s.fee_percent, s.seed);
   std::vector<banking::TransferParams> stream(s.n_txns);
   for (auto& p : stream) p = gen.Next();
+  WindowDriver<Mv3cExecutor>::CompletionFn wait_each_commit;
+  if (ack == wal::WalConfig::Ack::kSync) {
+    wait_each_commit = [&](uint64_t, StepResult r, Mv3cExecutor& e) {
+      if (r == StepResult::kCommitted) {
+        (void)mgr.WalWaitDurable(e.last_commit_epoch());
+      }
+    };
+  }
   RunResult r = Drive<Mv3cExecutor>(
       window, s.n_txns,
       [&](...) {
         return MakeMvccExecutor(&mgr, kMv3c);
       },
       [&](uint64_t i) { return banking::Mv3cTransferMoney(db, stream[i]); },
-      [&] { mgr.CollectGarbage(); });
+      [&] { mgr.CollectGarbage(); }, std::move(wait_each_commit));
   mgr.wal()->FlushNow();
   // Fold the writer thread's counters (wal_bytes, epochs_flushed,
   // group_commit_size, sync waits) and the log_serialize/log_flush phase

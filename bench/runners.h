@@ -117,11 +117,16 @@ inline void AttachArenaStats(RunResult* out, TransactionManager& mgr) {
   out->arena_retirements_deferred = s.retirements_deferred;
 }
 
+/// `on_complete` (optional) runs inside the timed drive after every
+/// finished transaction, e.g. a per-commit durability wait.
 template <typename Executor, typename MakeExec, typename MakeProgram>
 RunResult Drive(size_t window, uint64_t n_txns, MakeExec&& make_exec,
                 MakeProgram&& make_program,
-                std::function<void()> maintenance) {
+                std::function<void()> maintenance,
+                typename WindowDriver<Executor>::CompletionFn on_complete =
+                    nullptr) {
   WindowDriver<Executor> driver(window, make_exec, std::move(maintenance));
+  driver.set_on_complete(std::move(on_complete));
   const DriveResult r =
       driver.Run(CountedSource<typename Executor::Program>(
           n_txns, make_program));

@@ -9,10 +9,12 @@
 #   usage: scripts/serve_smoke.sh [build_dir] [workload] [ack] [rate] [secs]
 #                                 [engine]
 #
-#   ack: "none" (default, no WAL), "async", or "sync" (WAL group commit;
-#        sync additionally requires every committed ack to carry the
-#        durable flag — the loadgen does not check flags, the server test
-#        does, so here sync just exercises the durable path end to end).
+#   ack: "none" (default, no WAL), "async", or "sync" (WAL group commit).
+#        Under sync every committed ack must carry the durable flag (the
+#        loadgen counts them), and the server must have made at most one
+#        durable wait per commit (wal_sync_waits_total <= commits_total:
+#        workers wait once per admission batch, DESIGN §5k). Under none
+#        and async no committed ack may carry the flag.
 #   engine: "mv3c" (default) or "omvcc" (the restart conflict policy).
 set -u
 
@@ -84,7 +86,7 @@ if ! "$LOADGEN" --port="$PORT" --workload="$WL" --scale="$SCALE" \
 fi
 cat "$TMP/loadgen.out" >&2
 
-python3 - "$TMP/loadgen.out" "$PORT" <<'EOF'
+python3 - "$TMP/loadgen.out" "$PORT" "$ACK" <<'EOF'
 import json
 import sys
 import urllib.request
@@ -94,6 +96,7 @@ with open(sys.argv[1]) as f:
 assert len(runjson) == 1, f"expected 1 RUNJSON line, got {len(runjson)}"
 run = json.loads(runjson[0][len("RUNJSON "):])
 port = sys.argv[2]
+ack = sys.argv[3]
 
 health = urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=10)
 assert health.status == 200 and health.read().strip() == b"ok", "healthz"
@@ -117,6 +120,18 @@ assert committed == run["committed"], (
 engine = int(scraped.get("mv3c_engine_commits_total", -1))
 assert engine == committed, f"engine commits {engine} != server {committed}"
 assert run["committed"] > 0, "nothing committed"
+if ack == "sync":
+    assert run["durable"] == run["committed"], (
+        f"{run['committed'] - run['durable']} of {run['committed']} "
+        f"committed acks lack the durable flag")
+    waits = int(scraped["mv3c_engine_wal_sync_waits_total"])
+    assert waits <= engine, (
+        f"wal_sync_waits_total {waits} > commits_total {engine}")
+    print(f"OK: {run['durable']} durable acks == committed; "
+          f"{waits} durable waits for {engine} commits")
+else:
+    assert run["durable"] == 0, (
+        f"{run['durable']} committed acks claim durability under ack={ack}")
 print(f"OK: {run['committed']} commits acked == scraped "
       f"mv3c_server_txn_committed_total == mv3c_engine_commits_total; "
       f"shed_fraction={run['shed_fraction']:.4f} "

@@ -22,9 +22,12 @@ namespace mv3c {
 /// hash-map of primary keys to data objects").
 ///
 /// Design:
-///   * Buckets hold kSlotsPerBucket entries; each key has two candidate
-///     buckets derived from one hash (partial-key cuckoo hashing, so the
-///     alternate bucket is computable from the stored hash alone).
+///   * Buckets hold kSlotsPerBucket (key, value) slots plus one occupancy
+///     byte; each key has two candidate buckets derived from one hash
+///     (partial-key cuckoo hashing: the alternate bucket follows from the
+///     current one and the key's hash). Slots store no hash — eviction and
+///     resize recompute it from the key, which keeps a uint64 -> pointer
+///     slot at 16 bytes and a bucket at 72.
 ///   * A fixed array of spin locks is striped over buckets; operations lock
 ///     the (one or two) involved buckets in stripe order, so there is no
 ///     global lock on the fast path.
@@ -80,8 +83,8 @@ class CuckooMap {
         if (FindInBucket(b1, key) >= 0 || FindInBucket(b2, key) >= 0) {
           return false;
         }
-        if (TryInsertIntoBucket(b1, key, value, h) ||
-            TryInsertIntoBucket(b2, key, value, h)) {
+        if (TryInsertIntoBucket(b1, key, value) ||
+            TryInsertIntoBucket(b2, key, value)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           return true;
         }
@@ -141,7 +144,7 @@ class CuckooMap {
       for (size_t b : {b1, b2}) {
         const int s = FindInBucket(b, key);
         if (s >= 0) {
-          buckets_[b].slots[s].occupied = false;
+          buckets_[b].Vacate(s);
           size_.fetch_sub(1, std::memory_order_relaxed);
           return true;
         }
@@ -158,8 +161,9 @@ class CuckooMap {
     for (size_t b = 0;; ++b) {
       SpinLockGuard g(self->LockFor(b));
       if (b > Mask()) break;  // bucket count can only grow
-      for (const Slot& slot : buckets_[b].slots) {
-        if (slot.occupied) fn(slot.key, slot.value);
+      const Bucket& bucket = buckets_[b];
+      for (int s = 0; s < kSlotsPerBucket; ++s) {
+        if (bucket.Occupied(s)) fn(bucket.slots[s].key, bucket.slots[s].value);
       }
     }
   }
@@ -172,14 +176,18 @@ class CuckooMap {
 
  private:
   struct Slot {
-    bool occupied = false;
-    uint64_t hash = 0;
     K key{};
     V value{};
   };
   struct Bucket {
     Slot slots[kSlotsPerBucket];
+    uint8_t occupied = 0;  // bit s set iff slots[s] holds an entry
+
+    bool Occupied(int s) const { return (occupied >> s) & 1u; }
+    void Fill(int s) { occupied |= static_cast<uint8_t>(1u << s); }
+    void Vacate(int s) { occupied &= static_cast<uint8_t>(~(1u << s)); }
   };
+  static_assert(kSlotsPerBucket <= 8, "occupancy is one byte per bucket");
 
   enum class InsertResult { kInserted, kDuplicate, kNeedResize, kRetry };
 
@@ -243,30 +251,28 @@ class CuckooMap {
   };
 
   /// Partial-key cuckoo hashing: the alternate bucket is derived from the
-  /// current bucket and the hash, so it can be recomputed during eviction
-  /// without rehashing the key. xor keeps the mapping an involution.
+  /// current bucket and the key's hash alone (eviction and resize rehash
+  /// the stored key). xor keeps the mapping an involution.
   static size_t AltIndexOf(size_t index, uint64_t h, size_t mask) {
     const uint64_t tag = (h >> 32) | 1;
     return (index ^ (tag * 0x5BD1E995ULL)) & mask;
   }
 
   int FindInBucket(size_t b, const K& key) const {
+    const Bucket& bucket = buckets_[b];
     for (int s = 0; s < kSlotsPerBucket; ++s) {
-      const Slot& slot = buckets_[b].slots[s];
-      if (slot.occupied && slot.key == key) return s;
+      if (bucket.Occupied(s) && bucket.slots[s].key == key) return s;
     }
     return -1;
   }
 
-  bool TryInsertIntoBucket(size_t b, const K& key, const V& value,
-                           uint64_t h) {
+  bool TryInsertIntoBucket(size_t b, const K& key, const V& value) {
+    Bucket& bucket = buckets_[b];
     for (int s = 0; s < kSlotsPerBucket; ++s) {
-      Slot& slot = buckets_[b].slots[s];
-      if (!slot.occupied) {
-        slot.occupied = true;
-        slot.hash = h;
-        slot.key = key;
-        slot.value = value;
+      if (!bucket.Occupied(s)) {
+        bucket.Fill(s);
+        bucket.slots[s].key = key;
+        bucket.slots[s].value = value;
         return true;
       }
     }
@@ -307,19 +313,19 @@ class CuckooMap {
       {
         SpinLockGuard g(LockFor(e.bucket));
         if (Mask() != mask) return InsertResult::kRetry;
-        const Slot& slot = buckets_[e.bucket].slots[e.slot];
-        if (!slot.occupied) {
+        const Bucket& bucket = buckets_[e.bucket];
+        if (!bucket.Occupied(e.slot)) {
           found = static_cast<int>(head);
           break;
         }
-        target = AltIndexOf(e.bucket, slot.hash, mask);
+        target = AltIndexOf(e.bucket, HashOf(bucket.slots[e.slot].key), mask);
       }
       {
         SpinLockGuard g(LockFor(target));
         if (Mask() != mask) return InsertResult::kRetry;
         bool has_free = false;
         for (int s = 0; s < kSlotsPerBucket; ++s) {
-          if (!buckets_[target].slots[s].occupied) {
+          if (!buckets_[target].Occupied(s)) {
             frontier.push_back({target, s, static_cast<int>(head)});
             found = static_cast<int>(frontier.size()) - 1;
             has_free = true;
@@ -344,15 +350,17 @@ class CuckooMap {
       const PathEntry& src = frontier[frontier[cur].parent];
       TwoBucketGuard g(this, src.bucket, dst.bucket);
       if (Mask() != mask) return InsertResult::kRetry;
-      Slot& from = buckets_[src.bucket].slots[src.slot];
-      Slot& to = buckets_[dst.bucket].slots[dst.slot];
-      if (to.occupied || !from.occupied ||
-          AltIndexOf(src.bucket, from.hash, mask) != dst.bucket) {
+      Bucket& from = buckets_[src.bucket];
+      Bucket& to = buckets_[dst.bucket];
+      if (to.Occupied(dst.slot) || !from.Occupied(src.slot) ||
+          AltIndexOf(src.bucket, HashOf(from.slots[src.slot].key), mask) !=
+              dst.bucket) {
         // A concurrent erase/insert changed the landscape; retry outside.
         return InsertResult::kRetry;
       }
-      to = from;
-      from.occupied = false;
+      to.slots[dst.slot] = from.slots[src.slot];
+      to.Fill(dst.slot);
+      from.Vacate(src.slot);
       cur = frontier[cur].parent;
     }
     // The root slot (in one of the home buckets) is now free.
@@ -362,12 +370,11 @@ class CuckooMap {
     if (FindInBucket(b1, key) >= 0 || FindInBucket(b2, key) >= 0) {
       return InsertResult::kDuplicate;
     }
-    Slot& slot = buckets_[root.bucket].slots[root.slot];
-    if (slot.occupied) return InsertResult::kRetry;
-    slot.occupied = true;
-    slot.hash = h;
-    slot.key = key;
-    slot.value = value;
+    Bucket& bucket = buckets_[root.bucket];
+    if (bucket.Occupied(root.slot)) return InsertResult::kRetry;
+    bucket.Fill(root.slot);
+    bucket.slots[root.slot].key = key;
+    bucket.slots[root.slot].value = value;
     return InsertResult::kInserted;
   }
 
@@ -393,12 +400,14 @@ class CuckooMap {
       const size_t new_mask = new_count - 1;
       bool ok = true;
       for (const Bucket& bucket : old) {
-        for (const Slot& slot : bucket.slots) {
-          if (!slot.occupied) continue;
-          const size_t nb1 = slot.hash & new_mask;
-          const size_t nb2 = AltIndexOf(nb1, slot.hash, new_mask);
-          if (!TryInsertIntoBucket(nb1, slot.key, slot.value, slot.hash) &&
-              !TryInsertIntoBucket(nb2, slot.key, slot.value, slot.hash)) {
+        for (int s = 0; s < kSlotsPerBucket; ++s) {
+          if (!bucket.Occupied(s)) continue;
+          const Slot& slot = bucket.slots[s];
+          const uint64_t h = HashOf(slot.key);
+          const size_t nb1 = h & new_mask;
+          const size_t nb2 = AltIndexOf(nb1, h, new_mask);
+          if (!TryInsertIntoBucket(nb1, slot.key, slot.value) &&
+              !TryInsertIntoBucket(nb2, slot.key, slot.value)) {
             ok = false;
             break;
           }

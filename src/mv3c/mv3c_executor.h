@@ -110,7 +110,7 @@ class Mv3cExecutor {
     if (txn_.ReadOnly()) {
       txn_.manager()->CommitReadOnly(&txn_.inner());
       last_commit_ts_ = txn_.inner().start_ts();
-      last_commit_durable_ = true;  // nothing to log
+      last_commit_epoch_ = 0;  // nothing logged
       ++txn_.stats().commits;
       txn_.ResetGraph();
       MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, txn_.inner().txn_id());
@@ -154,9 +154,7 @@ class Mv3cExecutor {
         ++txn_.stats().commits;
         txn_.ResetGraph();
         MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, txn_.inner().txn_id());
-        // Outside the kCommit timer: the group-commit wait is epoch-scale
-        // and would swamp the commit-phase histogram.
-        last_commit_durable_ = txn_.manager()->WalWaitDurable(&txn_.inner());
+        last_commit_epoch_ = txn_.inner().wal_epoch();
         return StepResult::kCommitted;
       }
       if (xs == ExecStatus::kUserAbort) return FinishUserAbort();
@@ -189,7 +187,7 @@ class Mv3cExecutor {
       ++txn_.stats().commits;
       txn_.ResetGraph();
       MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, txn_.inner().txn_id());
-      last_commit_durable_ = txn_.manager()->WalWaitDurable(&txn_.inner());
+      last_commit_epoch_ = txn_.inner().wal_epoch();
       return StepResult::kCommitted;
     }
     return FailRound();
@@ -224,10 +222,12 @@ class Mv3cExecutor {
     return const_cast<Mv3cExecutor*>(this)->txn_.stats();
   }
   Timestamp last_commit_ts() const { return last_commit_ts_; }
-  /// False iff the last commit's durability wait failed: the WAL crashed
-  /// (or its fsync failed) before the commit's epoch became durable. True
-  /// under async ack and without a WAL, where commits do not wait.
-  bool last_commit_durable() const { return last_commit_durable_; }
+  /// WAL epoch the last commit's redo records were tagged with; 0 when
+  /// nothing was logged (read-only, or no WAL). The executor never waits
+  /// for durability: a caller that acknowledges it waits once for the
+  /// largest epoch of everything it acknowledges
+  /// (TransactionManager::WalWaitDurable; DESIGN §5k group commit).
+  uint64_t last_commit_epoch() const { return last_commit_epoch_; }
   uint32_t attempts() const { return ctrl_.attempts(); }
   const RetryPolicy& retry_policy() const { return ctrl_.policy(); }
 
@@ -320,7 +320,7 @@ class Mv3cExecutor {
   Phase phase_ = Phase::kExecute;
   bool exclusive_mode_ = false;
   Timestamp last_commit_ts_ = 0;
-  bool last_commit_durable_ = true;
+  uint64_t last_commit_epoch_ = 0;
   // Executor registries are single-threaded (one executor per window
   // slot); recording skips the lock. timed_metrics_ is the per-transaction
   // sampling decision: &metrics_ or null, refreshed in Begin().

@@ -267,7 +267,8 @@ class Transaction {
   void set_wal_buffer(wal::LogBuffer* b) { wal_buffer_ = b; }
 
   /// Epoch the last commit's redo records were tagged with; 0 when nothing
-  /// was logged. The executor waits for this to become durable.
+  /// was logged. The commit is durable once the log's durable epoch
+  /// reaches it (TransactionManager::WalWaitDurable).
   uint64_t wal_epoch() const { return wal_epoch_; }
   void set_wal_epoch(uint64_t e) { wal_epoch_ = e; }
 

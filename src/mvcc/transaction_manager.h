@@ -411,15 +411,15 @@ class TransactionManager {
   void DisableWal() { wal_.reset(); }
   wal::LogManager* wal() { return wal_.get(); }
 
-  /// Blocks until `t`'s last commit is durable per the configured ack mode
-  /// (a shared group-commit wait under sync ack, a no-op under async ack).
-  /// Without an enabled WAL it returns true immediately, so executors call
-  /// it unconditionally. Returns false iff the log crashed before the
-  /// commit became durable.
-  bool WalWaitDurable(Transaction* t) {
-    if (wal_ != nullptr && t->wal_epoch() != 0) {
-      return wal_->WaitCommitDurable(t->wal_epoch());
-    }
+  /// Blocks until every commit tagged with a WAL epoch <= `epoch` is
+  /// durable per the configured ack mode (a shared group-commit wait under
+  /// sync ack, a no-op under async ack). Epoch 0 (nothing logged) and a
+  /// disabled WAL return true immediately. Returns false iff the log
+  /// crashed before the epoch became durable. Executors do not call it:
+  /// whoever acknowledges commits waits once for the largest epoch among
+  /// them (Transaction::wal_epoch, Mv3cExecutor::last_commit_epoch).
+  bool WalWaitDurable(uint64_t epoch) {
+    if (wal_ != nullptr && epoch != 0) return wal_->WaitCommitDurable(epoch);
     return true;
   }
 

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -139,6 +140,7 @@ void Server::WorkerLoop(size_t worker_id) {
     if (batch.empty()) break;  // closed and drained
     std::vector<PendingResponse> responses;
     responses.reserve(batch.size());
+    uint64_t batch_epoch = 0;  // largest WAL epoch among the commits
     for (QueuedRequest& req : batch) {
       const uint64_t t0 = MonotonicNowNs();
       const WorkloadHost::Result r =
@@ -155,7 +157,7 @@ void Server::WorkerLoop(size_t worker_id) {
       switch (r.status) {
         case TxnStatus::kCommitted:
           Bump(stats_.txn_committed);
-          if (r.durable) rh.flags |= kRespFlagDurable;
+          batch_epoch = std::max(batch_epoch, r.wal_epoch);
           break;
         case TxnStatus::kUserAborted:
           Bump(stats_.txn_user_aborted);
@@ -169,6 +171,17 @@ void Server::WorkerLoop(size_t worker_id) {
           break;
       }
       responses.push_back({req.conn_id, rh});
+    }
+    // Group commit (DESIGN §5k): one durable wait covers the whole batch.
+    // This worker's commit epochs never decrease, so every commit above
+    // is tagged at or below batch_epoch; no response leaves before it.
+    // A batch with nothing logged (epoch 0) does not wait.
+    if (host_->WaitCommitDurable(batch_epoch)) {
+      for (PendingResponse& pr : responses) {
+        if (pr.rh.status == static_cast<uint16_t>(TxnStatus::kCommitted)) {
+          pr.rh.flags |= kRespFlagDurable;
+        }
+      }
     }
     host_->FlushWorkerMetrics(worker_id);
     PushResponses(std::move(responses));
@@ -513,9 +526,10 @@ std::string Server::MetricsText() const {
           static_cast<double>(svc_est_.ewma_ns()) * 1e-9);
   // Engine counters come from the workers' *published* snapshots
   // (workload_host.h): a live scrape never races the executors' plain
-  // fields. Manager-level maintenance counters (gc_rounds, ...) are
-  // deliberately absent — they are plain fields bumped concurrently and
-  // have no race-free live view.
+  // fields. The WAL's counters (atomics) and log phases ride along.
+  // Manager-level maintenance counters (gc_rounds, ...) are deliberately
+  // absent — they are plain fields bumped concurrently and have no
+  // race-free live view.
   obs::WriteSnapshot(&w, host_->PublishedEngineMetrics(), "mv3c_engine",
                      {{"engine", host_->engine()},
                       {"workload", host_->workload()}});
@@ -529,6 +543,11 @@ std::string Server::MetricsText() const {
   w.Gauge("mv3c_engine_gc_pending",
           "unlinked versions and records waiting out their grace period",
           static_cast<double>(mem.gc_pending));
+  // With the log's counters above (mv3c_engine_wal_sync_waits_total, ...),
+  // commits per durable wait and the durable frontier are both visible.
+  w.Gauge("mv3c_engine_wal_durable_epoch",
+          "WAL epoch up to which every commit is on disk (0: no WAL)",
+          static_cast<double>(host_->WalDurableEpoch()));
   return w.str();
 }
 

@@ -49,6 +49,7 @@ class HostBase : public WorkloadHost {
                                : wal::WalConfig::Ack::kAsync;
       cfg.partitions = opts_.wal_partitions;
       mgr_.EnableWal(cfg);
+      wal_ = mgr_.wal();
       sync_ack_ = opts_.sync_ack;
     }
     RetryPolicy retry;
@@ -91,7 +92,7 @@ class HostBase : public WorkloadHost {
       case StepResult::kCommitted:
         res.status = TxnStatus::kCommitted;
         res.commit_ts = e.last_commit_ts();
-        res.durable = sync_ack_ && e.last_commit_durable();
+        res.wal_epoch = e.last_commit_epoch();
         break;
       case StepResult::kUserAborted:
         res.status = TxnStatus::kUserAborted;
@@ -104,6 +105,10 @@ class HostBase : public WorkloadHost {
       Maintenance();
     }
     return res;
+  }
+
+  bool WaitCommitDurable(uint64_t epoch) override {
+    return sync_ack_ && mgr_.WalWaitDurable(epoch);
   }
 
   /// Folds this worker's executor registry into its published snapshot.
@@ -123,7 +128,14 @@ class HostBase : public WorkloadHost {
       std::lock_guard<std::mutex> g(w->mu);
       out.Merge(w->published);
     }
+    // The log's counters are atomics and its histograms sit behind the
+    // registry lock, so a live snapshot is race-free.
+    if (wal_ != nullptr) out.Merge(wal_->metrics().Snapshot());
     return out;
+  }
+
+  uint64_t WalDurableEpoch() const override {
+    return wal_ != nullptr ? wal_->durable_epoch() : 0;
   }
 
   void Maintenance() override { mgr_.CollectGarbage(); }
@@ -137,10 +149,19 @@ class HostBase : public WorkloadHost {
   }
 
   void Shutdown() override {
-    if (opts_.wal && mgr_.wal() != nullptr) {
-      mgr_.wal()->FlushNow();
+    if (wal_ != nullptr) {
+      wal_->FlushNow();
+      wal_ = nullptr;
       mgr_.DisableWal();
     }
+  }
+
+  /// Makes the loaded population durable with one flush: loader commits do
+  /// not wait for their epochs, so this is the population's only wait. A
+  /// log that crashed during the load stays crashed and no later commit
+  /// is answered durable.
+  void FlushPopulation() {
+    if (wal_ != nullptr) (void)wal_->FlushNow();
   }
 
  protected:
@@ -152,6 +173,8 @@ class HostBase : public WorkloadHost {
   TransactionManager mgr_;
 
  private:
+  /// The manager's log, or null without a WAL (and after Shutdown).
+  wal::LogManager* wal_ = nullptr;
   /// Commits wait for the WAL fsync before they are answered; false
   /// without a WAL.
   bool sync_ack_ = false;
@@ -337,20 +360,21 @@ std::unique_ptr<WorkloadHost> MakeWorkloadHost(const HostOptions& opts) {
     std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
     return nullptr;
   }
+  std::unique_ptr<HostBase> host;
   if (opts.workload == "banking") {
-    return std::make_unique<BankingHost>(opts, conflict);
+    host = std::make_unique<BankingHost>(opts, conflict);
+  } else if (opts.workload == "trading") {
+    host = std::make_unique<TradingHost>(opts, conflict);
+  } else if (opts.workload == "tatp") {
+    host = std::make_unique<TatpHost>(opts, conflict);
+  } else if (opts.workload == "tpcc") {
+    host = std::make_unique<TpccHost>(opts, conflict);
+  } else {
+    std::fprintf(stderr, "unknown workload '%s'\n", opts.workload.c_str());
+    return nullptr;
   }
-  if (opts.workload == "trading") {
-    return std::make_unique<TradingHost>(opts, conflict);
-  }
-  if (opts.workload == "tatp") {
-    return std::make_unique<TatpHost>(opts, conflict);
-  }
-  if (opts.workload == "tpcc") {
-    return std::make_unique<TpccHost>(opts, conflict);
-  }
-  std::fprintf(stderr, "unknown workload '%s'\n", opts.workload.c_str());
-  return nullptr;
+  host->FlushPopulation();
+  return host;
 }
 
 }  // namespace mv3c::server

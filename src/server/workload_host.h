@@ -46,10 +46,10 @@ class WorkloadHost {
     TxnStatus status = TxnStatus::kBadRequest;
     uint64_t commit_ts = 0;
     uint32_t rounds = 0;
-    /// Committed under sync ack and the WAL made the commit durable before
-    /// Run returned (the response's kRespFlagDurable). False when the log
-    /// crashed or its fsync failed first.
-    bool durable = false;
+    /// WAL epoch of a committed transaction's redo records; 0 when nothing
+    /// was logged. Run does not wait for it: the commit may be answered
+    /// durable only after WaitCommitDurable covered this epoch.
+    uint64_t wal_epoch = 0;
   };
 
   virtual ~WorkloadHost() = default;
@@ -67,6 +67,14 @@ class WorkloadHost {
   /// Single-threaded per worker_id; different worker_ids run concurrently.
   virtual Result Run(size_t worker_id, uint16_t opcode, const uint8_t* params,
                      size_t param_bytes) = 0;
+
+  /// Group commit (DESIGN §5k): blocks until every commit tagged with a
+  /// WAL epoch <= `epoch` is durable. Returns true iff those commits may
+  /// be answered with kRespFlagDurable: the host runs a sync-ack WAL and
+  /// the log made the epoch durable. False under async ack, without a
+  /// WAL, and when the log crashed (or an fsync failed) first. Callable
+  /// from any worker thread.
+  virtual bool WaitCommitDurable(uint64_t epoch) = 0;
 
   /// Engine maintenance (GC); the server calls it from worker 0 on the
   /// ThreadDriver cadence (~1024 completions).
@@ -94,13 +102,18 @@ class WorkloadHost {
   };
   virtual MemoryGauges EngineMemory() const = 0;
 
+  /// The WAL's durable epoch (0 without a WAL): every commit tagged with
+  /// an epoch at or below it is on disk. An atomic load, safe to scrape.
+  virtual uint64_t WalDurableEpoch() const = 0;
+
   /// Flushes the WAL (if any) so shutdown never strands an async-ack
   /// epoch; no-op without a WAL.
   virtual void Shutdown() = 0;
 };
 
 /// Builds the host for `opts.workload` x `opts.engine`, loading the
-/// database population synchronously. Returns nullptr (with a message on
+/// database population synchronously; with a WAL, the population is
+/// durable when this returns. Returns nullptr (with a message on
 /// stderr) for an unknown workload/engine combination.
 std::unique_ptr<WorkloadHost> MakeWorkloadHost(const HostOptions& opts);
 

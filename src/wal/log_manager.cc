@@ -98,6 +98,27 @@ uint32_t ResolvePartitions(const WalConfig& config) {
   return static_cast<uint32_t>(std::min<uint64_t>(n, 64));
 }
 
+/// Staging vectors above this capacity are freed once emptied instead of
+/// kept. A burst (the population load, whose commits do not wait for
+/// their epochs) can stage megabytes in one round, and the capacities
+/// circulate between a partition's vectors and the committers' buffers
+/// (LogBuffer::Drain swaps), so without a cap the burst's peak would stay
+/// resident for the life of the log. Serving rounds stay far below it.
+constexpr size_t kMaxRetainedStagingBytes = 1 << 20;
+
+/// Empties a staging vector, releasing its storage if oversized.
+void ResetStaging(std::vector<uint8_t>* v) {
+  if (v->capacity() > kMaxRetainedStagingBytes) {
+    std::vector<uint8_t>().swap(*v);
+  } else {
+    v->clear();
+  }
+}
+
+void Bump(std::atomic<uint64_t>& counter, uint64_t by = 1) {
+  counter.fetch_add(by, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 LogManager::LogManager(const WalConfig& config, EpochClock* epoch_clock)
@@ -113,21 +134,21 @@ LogManager::LogManager(const WalConfig& config, EpochClock* epoch_clock)
   }
   // See HasForeignNaming: never mix stream layouts in one directory.
   MV3C_CHECK(!HasForeignNaming(config_.dir, config_.partitions > 1));
-  metrics_.RegisterCounter("wal_bytes", &wal_bytes_);
-  metrics_.RegisterCounter("wal_records", &wal_records_);
-  metrics_.RegisterCounter("epochs_flushed", &epochs_flushed_);
-  metrics_.RegisterCounter("group_commit_size", &group_commit_size_,
-                           obs::MergeKind::kMax);
-  metrics_.RegisterCounter("wal_sync_waits", &wal_sync_waits_);
-  metrics_.RegisterCounter("wal_segments", &wal_segments_);
-  metrics_.RegisterCounter("wal_flush_failures", &wal_flush_failures_);
+  metrics_.RegisterAtomicCounter("wal_bytes", &wal_bytes_);
+  metrics_.RegisterAtomicCounter("wal_records", &wal_records_);
+  metrics_.RegisterAtomicCounter("epochs_flushed", &epochs_flushed_);
+  metrics_.RegisterAtomicCounter("group_commit_size", &group_commit_size_,
+                                 obs::MergeKind::kMax);
+  metrics_.RegisterAtomicCounter("wal_sync_waits", &wal_sync_waits_);
+  metrics_.RegisterAtomicCounter("wal_segments", &wal_segments_);
+  metrics_.RegisterAtomicCounter("wal_flush_failures", &wal_flush_failures_);
   for (uint32_t i = 0; i < config_.partitions; ++i) {
     partitions_.emplace_back(std::make_unique<Partition>());
     partitions_.back()->id = i;
   }
   for (auto& p : partitions_) {
     OpenNextSegment(*p);
-    ++wal_segments_;
+    Bump(wal_segments_);
   }
   if (partitions_.size() > 1) {
     flushers_.reserve(partitions_.size());
@@ -169,7 +190,7 @@ bool LogManager::WaitDurableInternal(uint64_t epoch, bool commit_wait) {
   std::unique_lock<std::mutex> lk(mu_);
   // Only commit-path group-commit waits count: FlushNow/shutdown barriers
   // are test and teardown plumbing, not a latency signal.
-  if (commit_wait) ++wal_sync_waits_;
+  if (commit_wait) Bump(wal_sync_waits_);
   flush_requested_ = true;  // don't make the group wait out the interval
   writer_cv_.notify_one();
   durable_cv_.wait(lk, [&] {
@@ -326,18 +347,20 @@ bool LogManager::FlushRound(bool forced) {
   for (auto& p : partitions_) {
     round_bytes += p->round_bytes;
     round_records += p->round_records;
-    wal_flush_failures_ += p->round_fsync_failures;
-    wal_segments_ += p->round_segments_opened;
+    Bump(wal_flush_failures_, p->round_fsync_failures);
+    Bump(wal_segments_, p->round_segments_opened);
     p->round_bytes = 0;
     p->round_records = 0;
     p->round_fsync_failures = 0;
     p->round_segments_opened = 0;
   }
-  wal_bytes_ += round_bytes;
+  Bump(wal_bytes_, round_bytes);
   if (round_records > 0) {
-    wal_records_ += round_records;
-    ++epochs_flushed_;
-    if (round_records > group_commit_size_) group_commit_size_ = round_records;
+    Bump(wal_records_, round_records);
+    Bump(epochs_flushed_);
+    if (round_records > group_commit_size_.load(std::memory_order_relaxed)) {
+      group_commit_size_.store(round_records, std::memory_order_relaxed);
+    }
   }
   if (!ok) return false;
   durable_epoch_.store(epoch, std::memory_order_release);
@@ -387,7 +410,8 @@ bool LogManager::FlushPartition(Partition& p, uint64_t epoch,
         p.payload.swap(p.scratch);
       } else {
         p.payload.insert(p.payload.end(), p.scratch.begin(), p.scratch.end());
-        p.scratch.clear();
+        // scratch is swapped into the next buffer drained: cap it here.
+        ResetStaging(&p.scratch);
       }
     }
   }
@@ -442,6 +466,7 @@ bool LogManager::FlushPartition(Partition& p, uint64_t epoch,
   p.segment_max_epoch = epoch;
   p.round_bytes = total;
   p.round_records = n_records;
+  ResetStaging(&p.payload);
 
   if (p.segment_written >= config_.segment_bytes) {
     {

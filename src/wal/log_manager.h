@@ -158,7 +158,9 @@ class LogManager {
   /// The log's own counters (wal_bytes, wal_records, epochs_flushed,
   /// group_commit_size, wal_sync_waits, wal_segments, wal_flush_failures)
   /// and the kLogSerialize/kLogFlush phase histograms. Benchmarks merge
-  /// this snapshot next to the engine registries.
+  /// this snapshot next to the engine registries; its Snapshot() is safe
+  /// while the log runs (atomic counters, locked histograms), so the
+  /// server's /metrics merges it live.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
@@ -264,14 +266,15 @@ class LogManager {
 
   // Counters (see metrics()). Folded by the sequencer after each round
   // from the partitions' per-round results, except wal_sync_waits_, which
-  // is bumped under mu_ by waiting committers.
-  uint64_t wal_bytes_ = 0;
-  uint64_t wal_records_ = 0;
-  uint64_t epochs_flushed_ = 0;
-  uint64_t group_commit_size_ = 0;  // largest single epoch, in records
-  uint64_t wal_sync_waits_ = 0;
-  uint64_t wal_segments_ = 0;
-  uint64_t wal_flush_failures_ = 0;
+  // is bumped under mu_ by waiting committers. Atomics (relaxed) so a live
+  // /metrics scrape reads them without racing the sequencer.
+  std::atomic<uint64_t> wal_bytes_{0};
+  std::atomic<uint64_t> wal_records_{0};
+  std::atomic<uint64_t> epochs_flushed_{0};
+  std::atomic<uint64_t> group_commit_size_{0};  // largest epoch, in records
+  std::atomic<uint64_t> wal_sync_waits_{0};
+  std::atomic<uint64_t> wal_segments_{0};
+  std::atomic<uint64_t> wal_flush_failures_{0};
 
   obs::MetricsRegistry metrics_;  // synchronized: writer + committers
 };

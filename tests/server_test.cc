@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,10 +24,16 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "mvcc/timestamp.h"
 #include "server/admission.h"
 #include "server/protocol.h"
+#include "server/workload_host.h"
+#include "wal/catalog.h"
+#include "wal/recovery.h"
+#include "wal/state_hash.h"
 #include "workloads/banking.h"
 #include "workloads/tpcc.h"
+#include "workloads/wal_registry.h"
 
 namespace mv3c::server {
 namespace {
@@ -624,12 +631,21 @@ TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   server.Stop();
 }
 
-/// Value of an unlabelled gauge in a Prometheus scrape, or -1 if absent.
-double GaugeValue(const std::string& metrics, const std::string& name) {
-  const std::string needle = "\n" + name + " ";
-  const size_t at = metrics.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::stod(metrics.substr(at + needle.size()));
+/// Value of the first sample of family `name`, labeled or not; -1 if the
+/// scrape has none.
+double SampleValue(const std::string& metrics, const std::string& name) {
+  const std::string needle = "\n" + name;
+  for (size_t at = metrics.find(needle); at != std::string::npos;
+       at = metrics.find(needle, at + 1)) {
+    const size_t end = at + needle.size();
+    if (end >= metrics.size() || (metrics[end] != ' ' && metrics[end] != '{')) {
+      continue;  // a longer name sharing the prefix
+    }
+    const size_t eol = metrics.find('\n', end);
+    const size_t sp = metrics.rfind(' ', eol);
+    return std::stod(metrics.substr(sp + 1, eol - sp - 1));
+  }
+  return -1;
 }
 
 TEST(ServerIntegrationTest, EngineMemoryGaugesStayFlatAcrossBatches) {
@@ -659,13 +675,13 @@ TEST(ServerIntegrationTest, EngineMemoryGaugesStayFlatAcrossBatches) {
   };
   batch();
   const std::string first = server.MetricsText();
-  const double held1 = GaugeValue(first, "mv3c_engine_arena_held_bytes");
+  const double held1 = SampleValue(first, "mv3c_engine_arena_held_bytes");
   EXPECT_GT(held1, 0) << first;
-  EXPECT_GT(GaugeValue(first, "mv3c_engine_arena_live_objects"), 0);
-  EXPECT_GE(GaugeValue(first, "mv3c_engine_gc_pending"), 0);
+  EXPECT_GT(SampleValue(first, "mv3c_engine_arena_live_objects"), 0);
+  EXPECT_GE(SampleValue(first, "mv3c_engine_gc_pending"), 0);
   batch();
-  const double held2 = GaugeValue(server.MetricsText(),
-                                  "mv3c_engine_arena_held_bytes");
+  const double held2 = SampleValue(server.MetricsText(),
+                                   "mv3c_engine_arena_held_bytes");
   // The second batch allocated another ~1.7 MB of versions and records
   // (three versions and a record per transfer). Reused blocks keep the
   // arena where it stood, give or take what one maintenance interval
@@ -732,6 +748,136 @@ TEST(ServerWalTest, FailedFsyncCommitsComeBackWithoutDurableFlag) {
   }
   EXPECT_GT(failpoint::Trips(failpoint::Site::kWalFsyncFail), 0u);
   server.Stop();
+}
+
+// One sync-ack worker whose requests queue up behind a service delay, so
+// each PopBatch takes several of them and the batch shares one durable
+// wait (DESIGN §5k group commit).
+ServerOptions OneWorkerSyncWalOptions(const std::string& tag) {
+  ServerOptions o = SmallBankingOptions();
+  o.host.workers = 1;
+  o.host.service_delay_us = 1000;
+  o.host.wal = true;
+  o.host.sync_ack = true;
+  o.host.wal_dir = testing::TempDir() + "/serve_wal_" + tag + "_" +
+                   std::to_string(::getpid());
+  return o;
+}
+
+std::vector<uint8_t> TransferBatch(uint64_t first_id, uint64_t n) {
+  std::vector<uint8_t> wire;
+  for (uint64_t i = first_id; i < first_id + n; ++i) {
+    AppendRequest(&wire, i, Op::kBankingTransfer,
+                  MakeTransfer(static_cast<int64_t>(i), 1000));
+  }
+  return wire;
+}
+
+// The flag is set only once the batch's largest epoch is durable: every
+// flagged commit's epoch is at or below the durable epoch by the time its
+// response can be read. With failpoints on, every flush round stalls 5 ms
+// before its fsync, so a response flagged without waiting would arrive
+// long before its epoch turns durable.
+TEST(ServerWalTest, BatchedCommitsAreFlaggedOnlyOnceTheirEpochIsDurable) {
+  Server server(OneWorkerSyncWalOptions("batched"));
+  ASSERT_TRUE(server.Start());
+  failpoint::Reset(11);
+  failpoint::Config slow_fsync;
+  slow_fsync.action = failpoint::Action::kDelay;
+  slow_fsync.delay_us = 5000;
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, slow_fsync);
+
+  constexpr uint64_t kN = 12;
+  TestClient c(server.port());
+  c.SendRaw(TransferBatch(1, kN));
+  std::vector<ResponseHeader> all;
+  while (all.size() < kN) {
+    const std::vector<ResponseHeader> rs = c.ReadResponses(1, 10000);
+    ASSERT_FALSE(rs.empty());
+    const double durable =
+        SampleValue(server.MetricsText(), "mv3c_engine_wal_durable_epoch");
+    for (const ResponseHeader& rh : rs) {
+      ASSERT_EQ(rh.status, static_cast<uint16_t>(TxnStatus::kCommitted));
+      EXPECT_NE(rh.flags & kRespFlagDurable, 0u) << "request " << rh.request_id;
+      EXPECT_GE(durable, static_cast<double>(TsEpoch(rh.commit_ts)))
+          << "request " << rh.request_id << " answered before its epoch "
+          << "was durable";
+      all.push_back(rh);
+    }
+  }
+  const std::string m = server.MetricsText();
+  // The requests really queued (one worker, 1 ms each), so batches held
+  // several commits, and the durable waits were per batch, not per commit.
+  EXPECT_GE(SampleValue(m, "mv3c_server_admission_queue_peak_depth"), 2);
+  const double waits = SampleValue(m, "mv3c_engine_wal_sync_waits_total");
+  EXPECT_GE(waits, 0);
+  EXPECT_LT(waits, static_cast<double>(kN));
+  EXPECT_EQ(SampleValue(m, "mv3c_engine_commits_total"),
+            static_cast<double>(kN));
+  server.Stop();
+}
+
+// A batch whose shared durable wait fails (the fsync of its epoch fails and
+// the log crashes) answers every one of its commits without the flag.
+TEST(ServerWalTest, FailedFsyncBatchComesBackWithoutDurableFlag) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
+  Server server(OneWorkerSyncWalOptions("batch_fsync_fail"));
+  ASSERT_TRUE(server.Start());
+  failpoint::Reset(13);
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, {});
+  constexpr uint64_t kN = 12;
+  TestClient c(server.port());
+  c.SendRaw(TransferBatch(1, kN));
+  const std::vector<ResponseHeader> rs = c.ReadResponses(kN, 10000);
+  ASSERT_EQ(rs.size(), kN);
+  for (const ResponseHeader& rh : rs) {
+    EXPECT_EQ(rh.status, static_cast<uint16_t>(TxnStatus::kCommitted));
+    EXPECT_EQ(rh.flags & kRespFlagDurable, 0u) << "request " << rh.request_id;
+  }
+  EXPECT_GT(failpoint::Trips(failpoint::Site::kWalFsyncFail), 0u);
+  const std::string m = server.MetricsText();
+  EXPECT_GE(SampleValue(m, "mv3c_server_admission_queue_peak_depth"), 2);
+  EXPECT_GE(SampleValue(m, "mv3c_engine_wal_flush_failures_total"), 1);
+  server.Stop();
+}
+
+// Loader commits do not wait for their epochs; the host flushes once
+// before MakeWorkloadHost returns. Every block holding population records
+// must therefore carry an epoch at or below the durable epoch seen at
+// return: the shutdown flush finds nothing left to write.
+TEST(ServerWalTest, SyncHostPopulationIsDurableWhenBuilt) {
+  // Large enough that the load spans many flush rounds.
+  constexpr int64_t kAccounts = 100000;
+  constexpr int64_t kInitial = 1000;  // the host's initial balance
+  const std::string dir = testing::TempDir() + "/serve_wal_population_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  HostOptions ho;
+  ho.workload = "banking";
+  ho.workers = 1;
+  ho.scale = kAccounts;
+  ho.wal = true;
+  ho.sync_ack = true;
+  ho.wal_dir = dir;
+  ho.wal_partitions = 1;
+  std::unique_ptr<WorkloadHost> host = MakeWorkloadHost(ho);
+  ASSERT_NE(host, nullptr);
+  const uint64_t durable_at_return = host->WalDurableEpoch();
+  host->Shutdown();
+
+  TransactionManager mgr;
+  banking::BankingDb db(&mgr, kAccounts, kInitial);
+  wal::Catalog cat;
+  RegisterWalTables(cat, db);
+  const wal::RecoveryReport rep = cat.Recover(dir);
+  EXPECT_FALSE(rep.torn_tail) << rep.stop_reason;
+  EXPECT_GT(rep.blocks_applied, 0u);
+  EXPECT_LE(rep.max_epoch, durable_at_return)
+      << "population records were still unflushed when the host was built";
+  EXPECT_EQ(wal::DigestMvccTable(db.accounts).live_rows,
+            static_cast<uint64_t>(kAccounts) + 1);
+  EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -403,7 +403,7 @@ TEST(TimestampContract, CommitTsEpochNeverExceedsRedoTag) {
       // a redo record's block tag is never older than its commit TID's
       // epoch component (both are reads of the shared clock, tag second).
       EXPECT_LE(TsEpoch(cts), t.wal_epoch());
-      ASSERT_TRUE(mgr.WalWaitDurable(&t));
+      ASSERT_TRUE(mgr.WalWaitDurable(t.wal_epoch()));
       EXPECT_GE(mgr.wal()->durable_epoch(), t.wal_epoch());
     }
     // The flush rounds really advanced the shared clock past epoch 1, so
