@@ -392,31 +392,28 @@ class CuckooMap {
       for (size_t i = kNumLocks; i-- > 0;) locks_[i].unlock();
       return;
     }
+    // Split rule: doubling keeps bucket j's low bits, so a key held in old
+    // bucket j can land only in j or j + n. Placing it by the role it had
+    // there (home when (h & old_mask) == j, alternate otherwise) sends it
+    // to the one of those two that is its new home or new alternate. Every
+    // new bucket then takes keys from exactly one old bucket, at most
+    // kSlotsPerBucket of them, so placement cannot fail and the table grows
+    // exactly 2x.
     std::vector<Bucket> old = std::move(buckets_);
-    size_t new_count = old.size();
-    while (true) {
-      new_count *= 2;
-      buckets_.assign(new_count, Bucket{});
-      const size_t new_mask = new_count - 1;
-      bool ok = true;
-      for (const Bucket& bucket : old) {
-        for (int s = 0; s < kSlotsPerBucket; ++s) {
-          if (!bucket.Occupied(s)) continue;
-          const Slot& slot = bucket.slots[s];
-          const uint64_t h = HashOf(slot.key);
-          const size_t nb1 = h & new_mask;
-          const size_t nb2 = AltIndexOf(nb1, h, new_mask);
-          if (!TryInsertIntoBucket(nb1, slot.key, slot.value) &&
-              !TryInsertIntoBucket(nb2, slot.key, slot.value)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
+    buckets_.assign(2 * old.size(), Bucket{});
+    const size_t new_mask = buckets_.size() - 1;
+    for (size_t j = 0; j < old.size(); ++j) {
+      const Bucket& bucket = old[j];
+      for (int s = 0; s < kSlotsPerBucket; ++s) {
+        if (!bucket.Occupied(s)) continue;
+        const Slot& slot = bucket.slots[s];
+        const uint64_t h = HashOf(slot.key);
+        const size_t home = h & new_mask;
+        const size_t target = (h & observed_mask) == j
+                                  ? home
+                                  : AltIndexOf(home, h, new_mask);
+        MV3C_CHECK(TryInsertIntoBucket(target, slot.key, slot.value));
       }
-      if (ok) break;
-      // Both home buckets full right after doubling is vanishingly rare;
-      // double again rather than running eviction inside the resize.
     }
     bucket_mask_.store(buckets_.size() - 1, std::memory_order_release);
     for (size_t i = kNumLocks; i-- > 0;) locks_[i].unlock();

@@ -101,6 +101,9 @@ struct ServerStats {
   std::atomic<uint64_t> shed_rate_limited{0}; // per-client token bucket empty
   std::atomic<uint64_t> bad_requests{0};
   std::atomic<uint64_t> pings{0};
+  // Batches whose responses waited for their WAL epoch while the worker
+  // ran its next batch (DESIGN §5k): the fsync rounds the overlap hid.
+  std::atomic<uint64_t> overlapped_batches{0};
 };
 
 /// One relaxed increment — the only write ServerStats fields ever see.
@@ -153,6 +156,7 @@ inline void RegisterCounters(MetricsRegistry* reg, const ServerStats* s) {
   reg->RegisterAtomicCounter("shed_rate_limited", &s->shed_rate_limited);
   reg->RegisterAtomicCounter("bad_requests", &s->bad_requests);
   reg->RegisterAtomicCounter("pings", &s->pings);
+  reg->RegisterAtomicCounter("overlapped_batches", &s->overlapped_batches);
 }
 
 }  // namespace obs

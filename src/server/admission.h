@@ -100,10 +100,11 @@ class AdmissionQueue {
 
   /// Pops up to `max` requests, blocking while the queue is empty and
   /// open. Returns an empty vector only when the queue is closed and
-  /// drained — the worker's exit signal.
-  std::vector<QueuedRequest> PopBatch(size_t max) {
+  /// drained — the worker's exit signal. With `block` false it returns at
+  /// once, empty also when the queue is merely empty.
+  std::vector<QueuedRequest> PopBatch(size_t max, bool block = true) {
     std::unique_lock<std::mutex> g(mu_);
-    cv_.wait(g, [&] { return closed_ || !q_.empty(); });
+    if (block) cv_.wait(g, [&] { return closed_ || !q_.empty(); });
     std::vector<QueuedRequest> out;
     while (!q_.empty() && out.size() < max) {
       out.push_back(std::move(q_.front()));

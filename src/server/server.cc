@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -135,58 +136,95 @@ void Server::Stop() {
 // --- worker side ---
 
 void Server::WorkerLoop(size_t worker_id) {
+  // Durable-ack pipelining (DESIGN §5k): a batch whose epoch is not yet
+  // durable is parked while the worker runs the next batch, and answered
+  // after it, so the fsync round overlaps useful work. One batch at most
+  // is parked: a worker holds no more than opts_.batch unsent responses.
+  std::optional<RanBatch> parked;
+  auto answer_parked = [&] {
+    Answer(worker_id, std::move(*parked));
+    parked.reset();
+  };
   while (true) {
-    std::vector<QueuedRequest> batch = queue_->PopBatch(opts_.batch);
-    if (batch.empty()) break;  // closed and drained
-    std::vector<PendingResponse> responses;
-    responses.reserve(batch.size());
-    uint64_t batch_epoch = 0;  // largest WAL epoch among the commits
-    for (QueuedRequest& req : batch) {
-      const uint64_t t0 = MonotonicNowNs();
-      const WorkloadHost::Result r =
-          host_->Run(worker_id, req.opcode, req.params.data(),
-                     req.params.size());
-      svc_est_.Record(MonotonicNowNs() - t0);
-      ResponseHeader rh{};
-      rh.request_id = req.request_id;
-      rh.status = static_cast<uint16_t>(r.status);
-      rh.commit_ts = r.commit_ts;
-      rh.rounds = r.rounds;
-      const uint64_t queue_us = (t0 - req.enqueue_ns) / 1000;
-      rh.queue_us = queue_us > ~0u ? ~0u : static_cast<uint32_t>(queue_us);
-      switch (r.status) {
-        case TxnStatus::kCommitted:
-          Bump(stats_.txn_committed);
-          batch_epoch = std::max(batch_epoch, r.wal_epoch);
-          break;
-        case TxnStatus::kUserAborted:
-          Bump(stats_.txn_user_aborted);
-          break;
-        case TxnStatus::kExhausted:
-          Bump(stats_.txn_exhausted);
-          rh.retry_after_us = svc_est_.RetryAfterUs(queue_->depth());
-          break;
-        default:
-          Bump(stats_.bad_requests);
-          break;
-      }
-      responses.push_back({req.conn_id, rh});
+    // Never block on the queue while holding answers: an empty queue
+    // leaves nothing to overlap with, so the parked batch goes out first.
+    const std::vector<QueuedRequest> batch =
+        queue_->PopBatch(opts_.batch, /*block=*/!parked.has_value());
+    if (batch.empty()) {
+      if (!parked) break;  // closed and drained
+      answer_parked();
+      continue;
     }
-    // Group commit (DESIGN §5k): one durable wait covers the whole batch.
-    // This worker's commit epochs never decrease, so every commit above
-    // is tagged at or below batch_epoch; no response leaves before it.
-    // A batch with nothing logged (epoch 0) does not wait.
-    if (host_->WaitCommitDurable(batch_epoch)) {
-      for (PendingResponse& pr : responses) {
-        if (pr.rh.status == static_cast<uint16_t>(TxnStatus::kCommitted)) {
-          pr.rh.flags |= kRespFlagDurable;
-        }
-      }
+    if (parked && parked->epoch <= host_->WalDurableEpoch()) answer_parked();
+    RanBatch ran = RunBatch(worker_id, batch);
+    if (parked) {
+      Bump(stats_.overlapped_batches);
+      answer_parked();
     }
-    host_->FlushWorkerMetrics(worker_id);
-    PushResponses(std::move(responses));
+    // Park only a batch whose wait would block (sync-ack WAL, epoch not
+    // yet durable); its fsync round starts now and overlaps the next batch.
+    if (host_->RequestDurable(ran.epoch)) {
+      parked = std::move(ran);
+    } else {
+      Answer(worker_id, std::move(ran));
+    }
   }
   host_->FlushWorkerMetrics(worker_id);
+}
+
+Server::RanBatch Server::RunBatch(size_t worker_id,
+                                  const std::vector<QueuedRequest>& batch) {
+  RanBatch ran;
+  ran.responses.reserve(batch.size());
+  for (const QueuedRequest& req : batch) {
+    const uint64_t t0 = MonotonicNowNs();
+    const WorkloadHost::Result r =
+        host_->Run(worker_id, req.opcode, req.params.data(),
+                   req.params.size());
+    svc_est_.Record(MonotonicNowNs() - t0);
+    ResponseHeader rh{};
+    rh.request_id = req.request_id;
+    rh.status = static_cast<uint16_t>(r.status);
+    rh.commit_ts = r.commit_ts;
+    rh.rounds = r.rounds;
+    const uint64_t queue_us = (t0 - req.enqueue_ns) / 1000;
+    rh.queue_us = queue_us > ~0u ? ~0u : static_cast<uint32_t>(queue_us);
+    switch (r.status) {
+      case TxnStatus::kCommitted:
+        Bump(stats_.txn_committed);
+        ran.epoch = std::max(ran.epoch, r.wal_epoch);
+        break;
+      case TxnStatus::kUserAborted:
+        Bump(stats_.txn_user_aborted);
+        break;
+      case TxnStatus::kExhausted:
+        Bump(stats_.txn_exhausted);
+        rh.retry_after_us = svc_est_.RetryAfterUs(queue_->depth());
+        break;
+      default:
+        Bump(stats_.bad_requests);
+        break;
+    }
+    ran.responses.push_back({req.conn_id, rh});
+  }
+  return ran;
+}
+
+void Server::Answer(size_t worker_id, RanBatch&& ran) {
+  // Group commit (DESIGN §5k): one durable wait covers the whole batch.
+  // This worker's commit epochs never decrease, so every commit of the
+  // batch is tagged at or below ran.epoch; no response leaves before it.
+  if (host_->WaitCommitDurable(ran.epoch)) {
+    for (PendingResponse& pr : ran.responses) {
+      if (pr.rh.status == static_cast<uint16_t>(TxnStatus::kCommitted)) {
+        pr.rh.flags |= kRespFlagDurable;
+      }
+    }
+  }
+  // Publish before answering: a scrape that follows the last answer sees
+  // every commit answered so far.
+  host_->FlushWorkerMetrics(worker_id);
+  PushResponses(std::move(ran.responses));
 }
 
 void Server::PushResponses(std::vector<PendingResponse>&& batch) {

@@ -16,7 +16,9 @@
 //     buckets. Nothing else touches them — no locks on the request path.
 //   * Workers: pop from the AdmissionQueue (one mutex, batched), run
 //     transactions, push {conn_id, ResponseHeader} onto the pending list
-//     (second mutex) and wake the I/O thread through an eventfd.
+//     (second mutex) and wake the I/O thread through an eventfd. Under a
+//     sync-ack WAL a worker parks one batch's responses while it runs the
+//     next, then answers them once their epoch is durable.
 //   * Scrapes: /metrics reads ServerStats atomics and the workers'
 //     published engine snapshots — never the executors' live counters.
 
@@ -80,9 +82,18 @@ class Server {
     uint64_t conn_id;
     ResponseHeader rh;
   };
+  /// A batch that has run: its responses, unsent, and the largest WAL
+  /// epoch among its commits (0 when nothing was logged).
+  struct RanBatch {
+    std::vector<PendingResponse> responses;
+    uint64_t epoch = 0;
+  };
 
   void IoLoop();
   void WorkerLoop(size_t worker_id);
+  RanBatch RunBatch(size_t worker_id,
+                    const std::vector<QueuedRequest>& batch);
+  void Answer(size_t worker_id, RanBatch&& ran);
   void AcceptNew();
   void HandleReadable(Conn* c);
   void HandleBinary(Conn* c, const uint8_t* data, size_t n);

@@ -111,6 +111,10 @@ class HostBase : public WorkloadHost {
     return sync_ack_ && mgr_.WalWaitDurable(epoch);
   }
 
+  bool RequestDurable(uint64_t epoch) override {
+    return sync_ack_ && wal_ != nullptr && wal_->RequestDurable(epoch);
+  }
+
   /// Folds this worker's executor registry into its published snapshot.
   /// Called by the worker thread itself (the registry's counters are that
   /// thread's plain fields, so this read is single-threaded); the copy

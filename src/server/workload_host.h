@@ -76,6 +76,13 @@ class WorkloadHost {
   /// from any worker thread.
   virtual bool WaitCommitDurable(uint64_t epoch) = 0;
 
+  /// Starts the flush that makes commits tagged <= `epoch` durable,
+  /// without waiting, so a worker can park their answers (DESIGN §5k) and
+  /// run its next batch during the fsync round. Returns true iff a
+  /// WaitCommitDurable(epoch) would block: a sync-ack WAL, and `epoch`
+  /// logged something not yet durable. Callable from any worker thread.
+  virtual bool RequestDurable(uint64_t epoch) = 0;
+
   /// Engine maintenance (GC); the server calls it from worker 0 on the
   /// ThreadDriver cadence (~1024 completions).
   virtual void Maintenance() = 0;

@@ -181,6 +181,14 @@ bool LogManager::WaitCommitDurable(uint64_t epoch) {
   return WaitDurableInternal(epoch, /*commit_wait=*/true);
 }
 
+bool LogManager::RequestDurable(uint64_t epoch) {
+  if (durable_epoch_.load(std::memory_order_acquire) >= epoch) return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  flush_requested_ = true;
+  writer_cv_.notify_one();
+  return true;
+}
+
 bool LogManager::WaitDurable(uint64_t epoch) {
   return WaitDurableInternal(epoch, /*commit_wait=*/false);
 }

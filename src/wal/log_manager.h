@@ -123,6 +123,12 @@ class LogManager {
   /// the wal_sync_waits metric.
   bool WaitCommitDurable(uint64_t epoch);
 
+  /// Starts the flush round that makes `epoch` durable and returns without
+  /// waiting for it: a server worker that parks a batch's answers (DESIGN
+  /// §5k) lets the fsync overlap its next batch. Returns false, and does
+  /// nothing, when `epoch` is already durable. Not counted as a sync wait.
+  bool RequestDurable(uint64_t epoch);
+
   /// Blocks until `epoch` is durable regardless of ack mode (tests,
   /// shutdown barriers; not counted as a commit-path sync wait). Returns
   /// false iff the log crashed first. A waiter racing Stop() is released

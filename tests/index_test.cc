@@ -192,6 +192,40 @@ TEST(CuckooMapTest, HighBitOnlyKeysDoNotCollapse) {
   EXPECT_EQ(v, 7005u);
 }
 
+// Regression: a resize grows the table exactly 2x. Resizes trigger near
+// 90% load, where a greedy rehash into a 2x table finds both home buckets
+// of ~a thousand keys full; the old fallback doubled again until every key
+// fit, so a large table grew 8x in one step (TPC-C's order_line index:
+// 9 -> 72 MiB). Each key now keeps the role (home or alternate) it had, so
+// a new bucket receives keys from exactly one old bucket and never
+// overflows.
+TEST(CuckooMapTest, ResizeExactlyDoubles) {
+  for (const size_t capacity : {size_t{1} << 10, size_t{1} << 14}) {
+    CuckooMap<uint64_t, uint64_t> map(capacity);
+    size_t buckets = map.BucketCount();
+    size_t resizes = 0;
+    const uint64_t n = 8 * capacity;
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t key = i * 0x9E3779B97F4A7C15ULL;
+      ASSERT_TRUE(map.Insert(key, i));
+      if (map.BucketCount() != buckets) {
+        ASSERT_EQ(map.BucketCount(), 2 * buckets)
+            << "capacity " << capacity << ", resize " << resizes
+            << " at size " << map.Size();
+        buckets = map.BucketCount();
+        ++resizes;
+      }
+    }
+    EXPECT_GE(resizes, 2u) << "capacity " << capacity;
+    EXPECT_EQ(map.Size(), n);
+    for (uint64_t i = 0; i < n; ++i) {
+      uint64_t v = 0;
+      ASSERT_TRUE(map.Find(i * 0x9E3779B97F4A7C15ULL, &v)) << i;
+      ASSERT_EQ(v, i);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // OrderedIndex
 // ---------------------------------------------------------------------------

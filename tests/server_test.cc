@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,6 +214,35 @@ TEST(AdmissionQueueTest, CloseWakesBlockedConsumer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.Close();
   consumer.join();
+}
+
+// A worker holding a parked batch pops without blocking: on an empty open
+// queue the pop must come back at once (empty), and closing still drains
+// what was admitted before reporting closed.
+TEST(AdmissionQueueTest, NonBlockingPopReturnsAtOnce) {
+  AdmissionQueue q(4);
+  auto empty = std::async(std::launch::async,
+                          [&] { return q.PopBatch(4, /*block=*/false); });
+  if (empty.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    q.Close();  // unblock the stuck pop so the test can fail cleanly
+    FAIL() << "non-blocking pop blocked on an empty open queue";
+  }
+  EXPECT_TRUE(empty.get().empty());
+
+  for (uint64_t i = 0; i < 3; ++i) {
+    QueuedRequest r;
+    r.request_id = i;
+    ASSERT_TRUE(q.TryPush(std::move(r)));
+  }
+  auto batch = q.PopBatch(2, /*block=*/false);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].request_id, 0u);  // FIFO
+  q.Close();
+  batch = q.PopBatch(8, /*block=*/false);
+  ASSERT_EQ(batch.size(), 1u);  // closed still drains the remainder
+  EXPECT_EQ(batch[0].request_id, 2u);
+  EXPECT_TRUE(q.PopBatch(8, /*block=*/false).empty());
+  EXPECT_TRUE(q.PopBatch(8).empty());  // blocking pop: closed and drained
 }
 
 TEST(ServiceTimeEstimateTest, EwmaAndRetryAfterClamps) {
@@ -628,6 +658,10 @@ TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   const std::string needle = "mv3c_server_txn_committed_total " +
                              std::to_string(acked_commits) + "\n";
   EXPECT_NE(metrics.find(needle), std::string::npos) << metrics;
+  // Without a WAL no batch ever waits for durability, so none is parked.
+  EXPECT_NE(metrics.find("mv3c_server_overlapped_batches_total 0\n"),
+            std::string::npos)
+      << metrics;
   server.Stop();
 }
 
@@ -839,6 +873,95 @@ TEST(ServerWalTest, FailedFsyncBatchComesBackWithoutDurableFlag) {
   EXPECT_GE(SampleValue(m, "mv3c_server_admission_queue_peak_depth"), 2);
   EXPECT_GE(SampleValue(m, "mv3c_engine_wal_flush_failures_total"), 1);
   server.Stop();
+}
+
+// Stalls every WAL flush round for `delay_us` before its fsync.
+failpoint::Config SlowFsync(uint32_t delay_us) {
+  failpoint::Config c;
+  c.action = failpoint::Action::kDelay;
+  c.delay_us = delay_us;
+  return c;
+}
+
+// A worker that parks a batch must not then block on an empty queue: a
+// lone request would wait for the next arrival. It is answered (durable)
+// once its own flush round completes.
+TEST(ServerWalTest, LoneRequestIsAnsweredWithoutASecondArrival) {
+  Server server(OneWorkerSyncWalOptions("lone"));
+  ASSERT_TRUE(server.Start());
+  failpoint::Reset(17);
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  TestClient c(server.port());
+  c.SendRaw(TransferBatch(1, 1));
+  const std::vector<ResponseHeader> rs = c.ReadResponses(1, 2000);
+  ASSERT_EQ(rs.size(), 1u) << "a lone parked request was never answered";
+  EXPECT_EQ(rs[0].status, static_cast<uint16_t>(TxnStatus::kCommitted));
+  EXPECT_NE(rs[0].flags & kRespFlagDurable, 0u);
+  server.Stop();
+}
+
+// The overlap itself: while batch N waits out a 5 ms fsync stall, the
+// worker runs batch N+1 (1 ms per request), so by the time N's first
+// response arrives more requests have committed than one batch holds.
+// A worker that waits before popping again answers N with at most
+// opts.batch commits done, and the next commit lands >= 1 ms later.
+TEST(ServerWalTest, NextBatchCommitsBeforeTheParkedBatchIsAnswered) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
+  ServerOptions o = OneWorkerSyncWalOptions("overlap");
+  o.batch = 4;
+  Server server(o);
+  ASSERT_TRUE(server.Start());
+  failpoint::Reset(19);
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  constexpr uint64_t kN = 12;
+  TestClient c(server.port());
+  c.SendRaw(TransferBatch(1, kN));
+  std::vector<ResponseHeader> all = c.ReadResponses(1, 10000);
+  ASSERT_FALSE(all.empty());
+  const double committed_at_first_answer = SampleValue(
+      server.MetricsText(), "mv3c_server_txn_committed_total");
+  EXPECT_GT(committed_at_first_answer, static_cast<double>(o.batch));
+  const std::vector<ResponseHeader> rest =
+      c.ReadResponses(kN - all.size(), 10000);
+  all.insert(all.end(), rest.begin(), rest.end());
+  ASSERT_EQ(all.size(), kN);
+  for (const ResponseHeader& rh : all) {
+    EXPECT_EQ(rh.status, static_cast<uint16_t>(TxnStatus::kCommitted));
+    EXPECT_NE(rh.flags & kRespFlagDurable, 0u) << "request " << rh.request_id;
+  }
+  EXPECT_GE(SampleValue(server.MetricsText(),
+                        "mv3c_server_overlapped_batches_total"),
+            1);
+  server.Stop();
+}
+
+// Stop() closes the queue while the worker is still draining it; the last
+// batch it runs is parked when the queue reports closed-and-drained, and
+// the worker answers it before exiting. Every admitted request comes back
+// committed and durable.
+TEST(ServerWalTest, StopAnswersTheParkedBatch) {
+  ServerOptions o = OneWorkerSyncWalOptions("stop_parked");
+  o.batch = 4;
+  Server server(o);
+  ASSERT_TRUE(server.Start());
+  failpoint::Reset(23);
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  constexpr uint64_t kN = 12;
+  TestClient c(server.port());
+  c.SendRaw(TransferBatch(1, kN));
+  // The first answer comes after every request was admitted (one send,
+  // read in one go) and while most of them are still queued.
+  std::vector<ResponseHeader> all = c.ReadResponses(1, 10000);
+  ASSERT_FALSE(all.empty());
+  server.Stop();
+  const std::vector<ResponseHeader> rest =
+      c.ReadResponses(kN - all.size(), 5000);
+  all.insert(all.end(), rest.begin(), rest.end());
+  ASSERT_EQ(all.size(), kN) << "Stop() dropped admitted requests";
+  for (const ResponseHeader& rh : all) {
+    EXPECT_EQ(rh.status, static_cast<uint16_t>(TxnStatus::kCommitted));
+    EXPECT_NE(rh.flags & kRespFlagDurable, 0u) << "request " << rh.request_id;
+  }
 }
 
 // Loader commits do not wait for their epochs; the host flushes once

@@ -3,6 +3,7 @@
 // ack, segment rotation), and ReplayLogDir against hand-built and
 // manager-written logs.
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -375,6 +376,28 @@ TEST_F(WalTest, SyncWaitCounterCountsOnlyCommitWaits) {
   lm.Stop();
   const obs::MetricsSnapshot snap = lm.metrics().Snapshot();
   EXPECT_EQ(snap.Value("wal_sync_waits"), 1u);
+}
+
+// RequestDurable starts a round and returns without waiting (a server
+// worker parks a batch behind it). With the epoch timer effectively off,
+// only that kick can make the record durable, and it is no sync wait.
+TEST_F(WalTest, RequestDurableStartsARoundWithoutWaiting) {
+  WalConfig c = Config();
+  c.epoch_interval_us = 4'000'000'000u;  // the timer never fires here
+  LogManager lm(c);
+  LogBuffer* buf = lm.CreateBuffer();
+  const uint64_t e = AppendOne(lm, buf, 1, 10, 1, 100);
+  EXPECT_TRUE(lm.RequestDurable(e));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (lm.durable_epoch() < e &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(lm.durable_epoch(), e);
+  EXPECT_FALSE(lm.RequestDurable(e));  // already durable: nothing to start
+  lm.Stop();
+  EXPECT_EQ(lm.metrics().Snapshot().Value("wal_sync_waits"), 0u);
 }
 
 TEST_F(WalTest, PartitionedStreamsNamingAndHeartbeats) {
