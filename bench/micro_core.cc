@@ -223,7 +223,7 @@ void BM_TpccAllocs(benchmark::State& state) {
       p = gen.Next();
     } while (p.type != type);
     g_count_allocs.store(true, std::memory_order_relaxed);
-    const StepResult r = exec.Run(tpcc::Mv3cTpccProgram(db, p));
+    const StepResult r = exec.Run(tpcc::TpccProgram(db, p));
     g_count_allocs.store(false, std::memory_order_relaxed);
     if (r == StepResult::kCommitted) ++commits;
     if (++txns % 1024 == 0) {

@@ -22,7 +22,6 @@
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
-#include "workloads/tpcc_sv.h"
 #include "workloads/trading.h"
 
 namespace mv3c::bench {
@@ -226,7 +225,7 @@ inline RunResult RunTpcc(ConflictPolicy engine, size_t window,
   const auto stream = TpccStream(s);
   RunResult r = Drive<Mv3cExecutor>(
       window, s.n_txns, [&](...) { return MakeMvccExecutor(&mgr, engine); },
-      [&](uint64_t i) { return tpcc::Mv3cTpccProgram(db, stream[i]); },
+      [&](uint64_t i) { return tpcc::TpccProgram(db, stream[i]); },
       [&] {
         mgr.CollectGarbage();
         db.CleanupNewOrderQueue();
@@ -237,7 +236,7 @@ inline RunResult RunTpcc(ConflictPolicy engine, size_t window,
 
 template <typename Engine>
 RunResult RunTpccSv(size_t window, const TpccSetup& s) {
-  tpcc::SvTpccDb db(s.scale);
+  tpcc::SingleVersionTpccDb db(s.scale);
   db.Load(s.seed);
   const auto stream = TpccStream(s);
   Engine engine;
@@ -246,7 +245,7 @@ RunResult RunTpccSv(size_t window, const TpccSetup& s) {
   RunResult r = Drive<SvExecutor<Engine>>(
       window, s.n_txns,
       [&](...) { return std::make_unique<SvExecutor<Engine>>(&engine); },
-      [&](uint64_t i) { return tpcc::SvTpccProgram(db, stream[i]); },
+      [&](uint64_t i) { return tpcc::TpccProgram(db, stream[i]); },
       nullptr);
   // The engine (not the executor) owns the validation-phase histogram.
   r.metrics.Merge(engine.metrics().Snapshot());

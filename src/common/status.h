@@ -23,6 +23,17 @@ enum class [[nodiscard]] ExecStatus {
   kWriteWriteConflict,
 };
 
+/// Outcome of one write primitive (shared by the MVCC and single-version
+/// stores, so workload code written over both can test it).
+enum class WriteStatus {
+  kOk,
+  /// Fail-fast write-write conflict (paper §2.3.1): a foreign uncommitted
+  /// version exists, or a committed version newer than our start timestamp.
+  kWwConflict,
+  /// Insert found a live visible row with the same key.
+  kDuplicateKey,
+};
+
 /// Outcome of driving a transaction to completion (including restarts or
 /// repair rounds, depending on the engine).
 enum class [[nodiscard]] TxnOutcome {

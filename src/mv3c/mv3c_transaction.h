@@ -244,6 +244,15 @@ class Mv3cTransaction {
     return ExecStatus::kOk;
   }
 
+  /// Secondary-index entry for a row this transaction inserted. Applied at
+  /// once: scans filter entries by version visibility. A duplicate is the
+  /// same entry re-inserted by a repair round or a restart, and is ignored.
+  template <typename IndexT>
+  void IndexInsert(IndexT& index, const typename IndexT::KeyType& key,
+                   const typename IndexT::ValueType& value) {
+    (void)index.Insert(key, value);
+  }
+
   /// Blind update (§2.4.1): updates columns of the row with key `key`
   /// without creating a read predicate; `setter(Row&)` mutates a copy of
   /// the currently visible row. Never conflicts at validation time.

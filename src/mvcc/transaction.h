@@ -8,6 +8,7 @@
 
 #include "common/column_mask.h"
 #include "common/macros.h"
+#include "common/status.h"
 #include "mvcc/data_object.h"
 #include "mvcc/gc.h"
 #include "mvcc/predicate.h"
@@ -23,16 +24,6 @@ class LogBuffer;
 }  // namespace wal
 
 class TransactionManager;
-
-/// Outcome of a single write primitive.
-enum class WriteStatus {
-  kOk,
-  /// Fail-fast write-write conflict (paper §2.3.1): a foreign uncommitted
-  /// version exists, or a committed version newer than our start timestamp.
-  kWwConflict,
-  /// Insert found a live visible row with the same key.
-  kDuplicateKey,
-};
 
 /// Core transaction state shared by the OMVCC and MV3C engines: start
 /// timestamp, transaction id, and the undo buffer (the ordered list of

@@ -337,7 +337,7 @@ class TpccHost final : public HostBase {
     std::memcpy(&p, params, sizeof(p));
     if (p.type > tpcc::TpccTxnType::kStockLevel) return false;
     if (p.ol_cnt > tpcc::kMaxOrderLines) return false;
-    *out = tpcc::Mv3cTpccProgram(db_, p);
+    *out = tpcc::TpccProgram(db_, p);
     return true;
   }
 

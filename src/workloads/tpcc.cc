@@ -1,7 +1,6 @@
 #include "workloads/tpcc.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 
@@ -13,14 +12,62 @@ namespace {
 
 constexpr ColumnMask kAllCols = ColumnMask::All();
 
-/// Reads the latest committed row of an object; only valid when callers
-/// tolerate an instantaneous snapshot (loaders, consistency checks).
-template <typename TableT>
-const typename TableT::Row* LatestRow(typename TableT::Object* obj) {
+/// The latest committed row of a record, or nullptr; only valid when the
+/// caller tolerates an instantaneous snapshot (consistency checks).
+template <typename K, typename Row>
+const Row* LatestRow(const DataObject<K, Row>* obj, Row*) {
   if (obj == nullptr) return nullptr;
   const auto* v = obj->ReadVisible(kTxnIdBase - 1, 0);
   return v == nullptr ? nullptr : &v->data();
 }
+template <typename K, typename Row>
+const Row* LatestRow(const sv::Record<K, Row>* rec, Row* buf) {
+  if (rec == nullptr || sv::IsAbsent(rec->ReadStable(buf))) return nullptr;
+  return buf;
+}
+
+/// How the loader puts rows into a store. `Run(fill)` loads one batch:
+/// `fill(put)` calls `put(table, key, row)` for each row and gets the
+/// row's object back, for the secondary indexes. An MVCC batch is one
+/// committed transaction (versioned, and logged when a WAL is on); the
+/// single-version store writes the rows in place.
+template <typename Txn>
+class BatchLoader;
+
+template <>
+class BatchLoader<Mv3cTransaction> {
+ public:
+  explicit BatchLoader(TransactionManager* mgr) : exec_(mgr) {}
+
+  template <typename Fill>
+  void Run(Fill&& fill) {
+    exec_.MustRun([&](Mv3cTransaction& t) {
+      fill([&t](auto& table, uint64_t key, const auto& row) {
+        typename std::remove_reference_t<decltype(table)>::Object* obj =
+            nullptr;
+        MV3C_CHECK(t.InsertRow(table, key, row, &obj) == WriteStatus::kOk);
+        return obj;
+      });
+      return ExecStatus::kOk;
+    });
+  }
+
+ private:
+  Mv3cExecutor exec_;
+};
+
+template <>
+class BatchLoader<sv::SvTransaction> {
+ public:
+  explicit BatchLoader(TransactionManager*) {}
+
+  template <typename Fill>
+  void Run(Fill&& fill) {
+    fill([](auto& table, uint64_t key, const auto& row) {
+      return table.LoadRow(key, row);
+    });
+  }
+};
 
 }  // namespace
 
@@ -28,61 +75,54 @@ const typename TableT::Row* LatestRow(typename TableT::Object* obj) {
 // Loader
 // ---------------------------------------------------------------------------
 
-void TpccDb::Load(uint64_t seed) {
+template <typename Txn>
+void BasicTpccDb<Txn>::Load(uint64_t seed) {
   Xoshiro256 rng(seed);
-  Mv3cExecutor loader(mgr_);
+  BatchLoader<Txn> loader(mgr_);
   const TpccScale& s = scale_;
-  const bool dbg = std::getenv("MV3C_LOAD_DEBUG") != nullptr;
 
   // ITEM: shared across warehouses.
   for (uint64_t base = 1; base <= s.n_items; base += 4096) {
-    loader.MustRun([&](Mv3cTransaction& t) {
+    loader.Run([&](auto&& put) {
       const uint64_t end = std::min(s.n_items, base + 4095);
       for (uint64_t i = base; i <= end; ++i) {
         ItemRow row;
         row.price = 100 + static_cast<int64_t>(rng.NextBounded(9900));
         row.im_id = static_cast<uint32_t>(1 + rng.NextBounded(10000));
-        t.InsertRow(items, i, row);
+        put(items, i, row);
       }
-      return ExecStatus::kOk;
     });
   }
 
-  if (dbg) std::fprintf(stderr, "[load] items done\n");
   for (uint64_t w = 1; w <= s.n_warehouses; ++w) {
-    loader.MustRun([&](Mv3cTransaction& t) {
+    loader.Run([&](auto&& put) {
       WarehouseRow wr;
       wr.tax = static_cast<int32_t>(rng.NextBounded(2001));
       wr.ytd = 30000000;  // 300,000.00
-      t.InsertRow(warehouses, w, wr);
-      return ExecStatus::kOk;
+      put(warehouses, w, wr);
     });
     // STOCK.
     for (uint64_t base = 1; base <= s.n_items; base += 2048) {
-      loader.MustRun([&](Mv3cTransaction& t) {
+      loader.Run([&](auto&& put) {
         const uint64_t end = std::min(s.n_items, base + 2047);
         for (uint64_t i = base; i <= end; ++i) {
           StockRow row;
           row.quantity = static_cast<int32_t>(10 + rng.NextBounded(91));
-          t.InsertRow(stock, StockKey(w, i), row);
+          put(stock, StockKey(w, i), row);
         }
-        return ExecStatus::kOk;
       });
     }
-    if (dbg) std::fprintf(stderr, "[load] stock done w=%llu\n", (unsigned long long)w);
     for (uint64_t d = 1; d <= s.n_districts; ++d) {
-      if (dbg) std::fprintf(stderr, "[load] district %llu\n", (unsigned long long)d);
-      loader.MustRun([&](Mv3cTransaction& t) {
+      loader.Run([&](auto&& put) {
         DistrictRow dr;
         dr.tax = static_cast<int32_t>(rng.NextBounded(2001));
         dr.ytd = 3000000;  // 30,000.00
         dr.next_o_id = static_cast<uint32_t>(s.preload_orders_per_d + 1);
-        t.InsertRow(districts, DistrictKey(w, d), dr);
-        return ExecStatus::kOk;
+        put(districts, DistrictKey(w, d), dr);
       });
       // CUSTOMER + HISTORY.
       for (uint64_t base = 1; base <= s.n_customers_per_d; base += 1024) {
-        loader.MustRun([&](Mv3cTransaction& t) {
+        loader.Run([&](auto&& put) {
           const uint64_t end = std::min(s.n_customers_per_d, base + 1023);
           for (uint64_t c = base; c <= end; ++c) {
             CustomerRow row;
@@ -95,17 +135,15 @@ void TpccDb::Load(uint64_t seed) {
             row.discount = static_cast<int32_t>(rng.NextBounded(5001));
             row.bad_credit = rng.NextBounded(100) < 10;
             const uint64_t key = CustomerKey(w, d, c);
-            t.InsertRow(customers, key, row);
+            auto* cobj = put(customers, key, row);
             MV3C_CHECK(customers_by_name.Insert(
-                {DistrictKey(w, d), row.last_name_id, key},
-                customers.Find(key)));
+                {DistrictKey(w, d), row.last_name_id, key}, cobj));
             HistoryRow h;
             h.c_key = key;
             h.d_key = DistrictKey(w, d);
             h.amount = 1000;
-            t.InsertRow(history, NextHistoryKey(), h);
+            put(history, NextHistoryKey(), h);
           }
-          return ExecStatus::kOk;
         });
       }
       // ORDER / ORDER-LINE / NEW-ORDER preload: customers in a random
@@ -115,10 +153,8 @@ void TpccDb::Load(uint64_t seed) {
       for (size_t i = perm.size(); i > 1; --i) {
         std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
       }
-      if (dbg) std::fprintf(stderr, "[load] customers done d=%llu\n", (unsigned long long)d);
       for (uint64_t base = 1; base <= s.preload_orders_per_d; base += 256) {
-        if (dbg) std::fprintf(stderr, "[load] orders base=%llu\n", (unsigned long long)base);
-        loader.MustRun([&](Mv3cTransaction& t) {
+        loader.Run([&](auto&& put) {
           const uint64_t end = std::min(s.preload_orders_per_d, base + 255);
           for (uint64_t o = base; o <= end; ++o) {
             const bool delivered =
@@ -132,9 +168,8 @@ void TpccDb::Load(uint64_t seed) {
                 delivered ? static_cast<int32_t>(1 + rng.NextBounded(10))
                           : -1;
             const uint64_t okey = OrderKey(w, d, o);
-            t.InsertRow(orders, okey, orow);
             MV3C_CHECK(orders_by_customer.Insert(CustomerOrderKey(w, d, c, o),
-                                                 orders.Find(okey)));
+                                                 put(orders, okey, orow)));
             for (uint8_t ol = 1; ol <= orow.ol_cnt; ++ol) {
               OrderLineRow lrow;
               lrow.i_id = 1 + rng.NextBounded(s.n_items);
@@ -146,23 +181,24 @@ void TpccDb::Load(uint64_t seed) {
                             : static_cast<int64_t>(1 +
                                                    rng.NextBounded(999999));
               const uint64_t lkey = OrderLineKey(w, d, o, ol);
-              t.InsertRow(order_lines, lkey, lrow);
               MV3C_CHECK(order_lines_by_district.Insert(
-                  lkey, order_lines.Find(lkey)));
+                  lkey, put(order_lines, lkey, lrow)));
             }
             if (!delivered) {
-              t.InsertRow(new_orders, okey, NewOrderRow{});
-              MV3C_CHECK(new_order_queue.Insert(okey, new_orders.Find(okey)));
+              MV3C_CHECK(new_order_queue.Insert(
+                  okey, put(new_orders, okey, NewOrderRow{})));
             }
           }
-          return ExecStatus::kOk;
         });
       }
     }
   }
 }
 
-size_t TpccDb::CleanupNewOrderQueue() {
+template <typename Txn>
+size_t BasicTpccDb<Txn>::CleanupNewOrderQueue()
+  requires kMvcc
+{
   // An entry is removable when no active transaction could still see the
   // row: every version is committed and the newest committed one is a
   // tombstone older than the GC watermark. NEW-ORDER keys are never
@@ -174,7 +210,7 @@ size_t TpccDb::CleanupNewOrderQueue() {
       std::vector<uint64_t> ghosts;
       new_order_queue.ScanRange(
           OrderKey(w, d, 0), OrderKey(w, d, kMaxOrdersPerD - 1),
-          [&](uint64_t key, NewOrderTable::Object* obj) {
+          [&](uint64_t key, typename NewOrderTable::Object* obj) {
             // Stop at the first live (or possibly-live) entry: the queue
             // is delivered in order, so everything after it is live too.
             const VersionBase* newest = obj->head();
@@ -256,10 +292,13 @@ TpccParams TpccGenerator::Next() {
 }
 
 // ---------------------------------------------------------------------------
-// Programs: one body per transaction type, run under both conflict policies
+// Programs: one body per transaction type, run by all four engines
 // ---------------------------------------------------------------------------
 
 namespace {
+
+template <typename Txn>
+using Db = BasicTpccDb<Txn>;
 
 /// Middle customer of a by-last-name run (spec clause 2.5.2.2: position
 /// n/2 rounded up in the run ordered by first name; we order by c_id).
@@ -268,36 +307,35 @@ size_t MiddleIndex(const Entries& entries) {
   return (entries.size() + 1) / 2 - 1;
 }
 
-// The MV3C program bodies receive the transaction parameters by POINTER:
+// The program bodies receive the transaction parameters by POINTER:
 // the pointee is the copy owned by the program std::function, which lives
 // across every repair round and restart, so closures capture 8 bytes
 // instead of re-copying the ~0.5 KB parameter block at each nesting level
 // (§6.2's low overhead depends on cheap closure captures).
 
-ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
-                            const TpccParams* p) {
+template <typename Txn>
+ExecStatus NewOrderBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
   // Nesting: warehouse ⊃ customer ⊃ district ⊃ (per item: item ⊃ stock).
   // The hot repairable conflicts (stock updates) sit at the innermost
   // level; the district bump's ORDER/NEW-ORDER key collisions fail fast.
   return t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWTax),
-      [&db, p](Mv3cTransaction& t, WarehouseTable::Object*,
-               const WarehouseRow* w) -> ExecStatus {
+      [&db, p](Txn& t, auto*, const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         const int32_t w_tax = w->tax;
         return t.Lookup(
             db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
             ColumnMask::Of(kColCInfo),
-            [&db, p, w_tax](Mv3cTransaction& t, CustomerTable::Object*,
-                            const CustomerRow* c) -> ExecStatus {
+            [&db, p, w_tax](Txn& t, auto*, const CustomerRow* c)
+                -> ExecStatus {
               if (c == nullptr) return ExecStatus::kUserAbort;
               const int32_t c_disc = c->discount;
               return t.Lookup(
                   db.districts, DistrictKey(p->w_id, p->d_id),
                   ColumnMask::Of(kColDTax) | ColumnMask::Of(kColDNextOid),
-                  [&db, p, w_tax, c_disc](
-                      Mv3cTransaction& t, DistrictTable::Object* dobj,
-                      const DistrictRow* d) -> ExecStatus {
+                  [&db, p, w_tax, c_disc](Txn& t, auto* dobj,
+                                          const DistrictRow* d)
+                      -> ExecStatus {
                     if (d == nullptr) return ExecStatus::kUserAbort;
                     const uint64_t o_id = d->next_o_id;
                     DistrictRow dn = *d;
@@ -319,29 +357,28 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                     orow.ol_cnt = p->ol_cnt;
                     orow.all_local = AllLinesLocal(*p);
                     const uint64_t okey = OrderKey(p->w_id, p->d_id, o_id);
-                    OrderTable::Object* oobj = nullptr;
+                    typename Db<Txn>::OrderTable::Object* oobj = nullptr;
                     if (t.InsertRow(db.orders, okey, orow, &oobj) !=
                         WriteStatus::kOk) {
                       return ExecStatus::kWriteWriteConflict;
                     }
-                    // Duplicate is expected on a repair round: the same
-                    // o_id re-inserts the same arena-stable object.
-                    (void)db.orders_by_customer.Insert(
+                    t.IndexInsert(
+                        db.orders_by_customer,
                         CustomerOrderKey(p->w_id, p->d_id, p->c_id, o_id),
                         oobj);
-                    NewOrderTable::Object* nobj = nullptr;
+                    typename Db<Txn>::NewOrderTable::Object* nobj = nullptr;
                     if (t.InsertRow(db.new_orders, okey, NewOrderRow{},
                                     &nobj) != WriteStatus::kOk) {
                       return ExecStatus::kWriteWriteConflict;
                     }
-                    (void)db.new_order_queue.Insert(okey, nobj);
+                    t.IndexInsert(db.new_order_queue, okey, nobj);
                     for (uint8_t i = 0; i < p->ol_cnt; ++i) {
                       const uint8_t ol_number = i;
                       st = t.Lookup(
                           db.items, p->items[i].i_id, kAllCols,
                           [&db, p, w_tax, c_disc, o_id, ol_number](
-                              Mv3cTransaction& t, ItemTable::Object*,
-                              const ItemRow* item) -> ExecStatus {
+                              Txn& t, auto*, const ItemRow* item)
+                              -> ExecStatus {
                             if (item == nullptr) {
                               return ExecStatus::kUserAbort;  // 1% rule
                             }
@@ -351,10 +388,9 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                                 db.stock, StockKey(it.supply_w, it.i_id),
                                 ColumnMask::Of(kColSQuantity),
                                 [&db, p, w_tax, c_disc, o_id, price,
-                                 ol_number](
-                                    Mv3cTransaction& t,
-                                    StockTable::Object* sobj,
-                                    const StockRow* s) -> ExecStatus {
+                                 ol_number](Txn& t, auto* sobj,
+                                            const StockRow* s)
+                                    -> ExecStatus {
                                   if (s == nullptr) {
                                     return ExecStatus::kUserAbort;
                                   }
@@ -389,14 +425,15 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                                   const uint64_t lkey =
                                       OrderLineKey(p->w_id, p->d_id, o_id,
                                                    ol_number + 1);
-                                  OrderLineTable::Object* lobj = nullptr;
+                                  typename Db<Txn>::OrderLineTable::Object*
+                                      lobj = nullptr;
                                   if (t.InsertRow(db.order_lines, lkey, ol,
                                                   &lobj) !=
                                       WriteStatus::kOk) {
                                     return ExecStatus::kWriteWriteConflict;
                                   }
-                                  (void)db.order_lines_by_district.Insert(
-                                      lkey, lobj);
+                                  t.IndexInsert(db.order_lines_by_district,
+                                                lkey, lobj);
                                   return ExecStatus::kOk;
                                 });
                           });
@@ -408,15 +445,14 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
       });
 }
 
-ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
-                           const TpccParams* p) {
+template <typename Txn>
+ExecStatus PaymentBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
   // Three independent roots (disjoint failure units, Figure 1(a)): the
   // warehouse YTD bump, the district YTD bump, and the customer payment
   // (with the HISTORY insert nested under the customer).
   ExecStatus st = t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWYtd),
-      [&db, p](Mv3cTransaction& t, WarehouseTable::Object* wobj,
-               const WarehouseRow* w) -> ExecStatus {
+      [&db, p](Txn& t, auto* wobj, const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         WarehouseRow wn = *w;
         wn.ytd += p->amount;
@@ -426,8 +462,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
   if (st != ExecStatus::kOk) return st;
   st = t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id), ColumnMask::Of(kColDYtd),
-      [&db, p](Mv3cTransaction& t, DistrictTable::Object* dobj,
-               const DistrictRow* d) -> ExecStatus {
+      [&db, p](Txn& t, auto* dobj, const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         DistrictRow dn = *d;
         dn.ytd += p->amount;
@@ -435,9 +470,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
       });
   if (st != ExecStatus::kOk) return st;
 
-  auto pay_customer = [&db, p](Mv3cTransaction& t,
-                               CustomerTable::Object* cobj,
-                               const CustomerRow& c,
+  auto pay_customer = [&db, p](Txn& t, auto* cobj, const CustomerRow& c,
                                uint64_t c_key) -> ExecStatus {
     CustomerRow cn = c;
     cn.balance -= p->amount;
@@ -475,9 +508,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
         },
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
-        [pay_customer](Mv3cTransaction& t,
-                       const std::vector<ScanEntry<CustomerTable>>& rs)
-            -> ExecStatus {
+        [pay_customer](Txn& t, const auto& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const auto& e = rs[MiddleIndex(rs)];
           return pay_customer(t, e.object, e.row, e.object->key());
@@ -487,24 +518,23 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
   return t.Lookup(
       db.customers, c_key,
       ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance),
-      [pay_customer, c_key](Mv3cTransaction& t, CustomerTable::Object* obj,
+      [pay_customer, c_key](Txn& t, auto* obj,
                             const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return pay_customer(t, obj, *c, c_key);
       });
 }
 
-ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
-                               const TpccParams* p) {
-  auto status_of = [&db, p](Mv3cTransaction& t, uint64_t c_id) -> ExecStatus {
+template <typename Txn>
+ExecStatus OrderStatusBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
+  auto status_of = [&db, p](Txn& t, uint64_t c_id) -> ExecStatus {
     return t.RangeScan(
         db.orders, db.orders_by_customer,
         CustomerOrderKey(p->w_id, p->d_id, c_id, 0),
         CustomerOrderKey(p->w_id, p->d_id, c_id, kMaxOrdersPerD - 1),
         [](const uint64_t& key, const OrderRow&) { return key; }, nullptr,
         ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo), 1, true,
-        [&db, p](Mv3cTransaction& t,
-                 const std::vector<ScanEntry<OrderTable>>& rs) -> ExecStatus {
+        [&db, p](Txn& t, const auto& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const uint64_t o_id = rs[0].object->key() % kMaxOrdersPerD;
           return t.RangeScan(
@@ -513,9 +543,7 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
               OrderLineKey(p->w_id, p->d_id, o_id, kMaxOrderLines - 1),
               [](const uint64_t& key, const OrderLineRow&) { return key; },
               nullptr, ColumnMask::Of(kColOlInfo), 0, false,
-              [](Mv3cTransaction&,
-                 const std::vector<ScanEntry<OrderLineTable>>& lines)
-                  -> ExecStatus {
+              [](Txn&, const auto& lines) -> ExecStatus {
                 int64_t total = 0;
                 for (const auto& l : lines) total += l.row.amount;
                 (void)total;
@@ -535,9 +563,7 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
         },
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
-        [status_of](Mv3cTransaction& t,
-                    const std::vector<ScanEntry<CustomerTable>>& rs)
-            -> ExecStatus {
+        [status_of](Txn& t, const auto& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const auto& e = rs[MiddleIndex(rs)];
           return status_of(t, e.object->key() % kMaxCustomersPerD);
@@ -546,26 +572,23 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
   return t.Lookup(
       db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
       ColumnMask::Of(kColCBalance),
-      [p, status_of](Mv3cTransaction& t, CustomerTable::Object*,
-                     const CustomerRow* c) -> ExecStatus {
+      [p, status_of](Txn& t, auto*, const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return status_of(t, p->c_id);
       });
 }
 
-ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
-                            const TpccParams* p) {
+template <typename Txn>
+ExecStatus DeliveryBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
   for (uint64_t d = 1; d <= db.scale().n_districts; ++d) {
     const ExecStatus st = t.RangeScan(
         db.new_orders, db.new_order_queue, OrderKey(p->w_id, d, 0),
         OrderKey(p->w_id, d, kMaxOrdersPerD - 1),
         [](const uint64_t& key, const NewOrderRow&) { return key; }, nullptr,
         kAllCols, 1, false,
-        [&db, p, d](Mv3cTransaction& t,
-                    const std::vector<ScanEntry<NewOrderTable>>& rs)
-            -> ExecStatus {
+        [&db, p, d](Txn& t, const auto& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kOk;  // nothing to deliver
-          NewOrderTable::Object* nobj = rs[0].object;
+          auto* nobj = rs[0].object;
           const uint64_t okey = nobj->key();
           const uint64_t o_id = okey % kMaxOrdersPerD;
           ExecStatus st2 = t.DeleteRow(db.new_orders, nobj);
@@ -573,7 +596,7 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
           return t.Lookup(
               db.orders, okey,
               ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo),
-              [&db, p, d, o_id](Mv3cTransaction& t, OrderTable::Object* oobj,
+              [&db, p, d, o_id](Txn& t, auto* oobj,
                                 const OrderRow* o) -> ExecStatus {
                 if (o == nullptr) return ExecStatus::kUserAbort;
                 OrderRow on = *o;
@@ -593,10 +616,8 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
                     ColumnMask::Of(kColOlDeliveryD) |
                         ColumnMask::Of(kColOlInfo),
                     0, false,
-                    [&db, p, d, c_id](
-                        Mv3cTransaction& t,
-                        const std::vector<ScanEntry<OrderLineTable>>& lines)
-                        -> ExecStatus {
+                    [&db, p, d, c_id](Txn& t,
+                                      const auto& lines) -> ExecStatus {
                       int64_t total = 0;
                       for (const auto& l : lines) {
                         total += l.row.amount;
@@ -610,8 +631,7 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
                       return t.Lookup(
                           db.customers, CustomerKey(p->w_id, d, c_id),
                           ColumnMask::Of(kColCBalance),
-                          [&db, total](Mv3cTransaction& t,
-                                       CustomerTable::Object* cobj,
+                          [&db, total](Txn& t, auto* cobj,
                                        const CustomerRow* c) -> ExecStatus {
                             if (c == nullptr) {
                               return ExecStatus::kUserAbort;
@@ -630,13 +650,12 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
   return ExecStatus::kOk;
 }
 
-ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
-                              const TpccParams* p) {
+template <typename Txn>
+ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
   return t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id),
       ColumnMask::Of(kColDNextOid),
-      [&db, p](Mv3cTransaction& t, DistrictTable::Object*,
-               const DistrictRow* d) -> ExecStatus {
+      [&db, p](Txn& t, auto*, const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         const uint64_t next_o = d->next_o_id;
         const uint64_t lo_o = next_o > 20 ? next_o - 20 : 1;
@@ -646,9 +665,7 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
             OrderLineKey(p->w_id, p->d_id, next_o - 1, kMaxOrderLines - 1),
             [](const uint64_t& key, const OrderLineRow&) { return key; },
             nullptr, ColumnMask::Of(kColOlInfo), 0, false,
-            [&db, p](Mv3cTransaction& t,
-                     const std::vector<ScanEntry<OrderLineTable>>& lines)
-                -> ExecStatus {
+            [&db, p](Txn& t, const auto& lines) -> ExecStatus {
               std::vector<uint64_t> seen;
               int low_stock = 0;
               for (const auto& l : lines) {
@@ -660,7 +677,7 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
                 const ExecStatus st = t.Lookup(
                     db.stock, StockKey(p->w_id, i_id),
                     ColumnMask::Of(kColSQuantity),
-                    [p, &low_stock](Mv3cTransaction&, StockTable::Object*,
+                    [p, &low_stock](Txn&, auto*,
                                     const StockRow* s) -> ExecStatus {
                       if (s != nullptr && s->quantity < p->threshold) {
                         ++low_stock;
@@ -676,22 +693,24 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
 
 }  // namespace
 
-Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p) {
+template <typename Txn>
+std::function<ExecStatus(Txn&)> TpccProgram(BasicTpccDb<Txn>& db,
+                                            const TpccParams& p) {
   // The program lambda owns the parameter copy; closures built by the
   // bodies capture a pointer to it, which stays valid across repair rounds
   // and restarts (the std::function outlives the transaction attempt).
-  return [&db, p](Mv3cTransaction& t) -> ExecStatus {
+  return [&db, p](Txn& t) -> ExecStatus {
     switch (p.type) {
       case TpccTxnType::kNewOrder:
-        return Mv3cNewOrderBody(t, db, &p);
+        return NewOrderBody(t, db, &p);
       case TpccTxnType::kPayment:
-        return Mv3cPaymentBody(t, db, &p);
+        return PaymentBody(t, db, &p);
       case TpccTxnType::kOrderStatus:
-        return Mv3cOrderStatusBody(t, db, &p);
+        return OrderStatusBody(t, db, &p);
       case TpccTxnType::kDelivery:
-        return Mv3cDeliveryBody(t, db, &p);
+        return DeliveryBody(t, db, &p);
       case TpccTxnType::kStockLevel:
-        return Mv3cStockLevelBody(t, db, &p);
+        return StockLevelBody(t, db, &p);
     }
     MV3C_CHECK(false);
     return ExecStatus::kUserAbort;
@@ -702,10 +721,15 @@ Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p) {
 // Consistency checks (spec clause 3.3.2, subset)
 // ---------------------------------------------------------------------------
 
-bool CheckConsistency(TpccDb& db, std::string* why) {
+template <typename Txn>
+bool CheckConsistency(BasicTpccDb<Txn>& db, std::string* why) {
+  WarehouseRow wbuf;
+  DistrictRow dbuf;
+  OrderRow obuf;
+  OrderLineRow lbuf;
   const TpccScale& s = db.scale();
   for (uint64_t w = 1; w <= s.n_warehouses; ++w) {
-    const WarehouseRow* wr = LatestRow<WarehouseTable>(db.warehouses.Find(w));
+    const WarehouseRow* wr = LatestRow(db.warehouses.Find(w), &wbuf);
     if (wr == nullptr) {
       *why = "missing warehouse";
       return false;
@@ -713,7 +737,7 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
     int64_t d_ytd_sum = 0;
     for (uint64_t d = 1; d <= s.n_districts; ++d) {
       const DistrictRow* dr =
-          LatestRow<DistrictTable>(db.districts.Find(DistrictKey(w, d)));
+          LatestRow(db.districts.Find(DistrictKey(w, d)), &dbuf);
       if (dr == nullptr) {
         *why = "missing district";
         return false;
@@ -722,14 +746,14 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
       // Consistency 2: d_next_o_id - 1 == max(o_id) in ORDER.
       const uint64_t max_o = dr->next_o_id - 1;
       if (max_o > 0) {
-        if (LatestRow<OrderTable>(db.orders.Find(OrderKey(w, d, max_o))) ==
+        if (LatestRow(db.orders.Find(OrderKey(w, d, max_o)), &obuf) ==
             nullptr) {
           *why = "d_next_o_id does not match max order id (w=" +
                  std::to_string(w) + " d=" + std::to_string(d) + ")";
           return false;
         }
-        OrderTable::Object* beyond = db.orders.Find(OrderKey(w, d, max_o + 1));
-        if (beyond != nullptr && LatestRow<OrderTable>(beyond) != nullptr) {
+        if (LatestRow(db.orders.Find(OrderKey(w, d, max_o + 1)), &obuf) !=
+            nullptr) {
           *why = "order beyond d_next_o_id";
           return false;
         }
@@ -737,14 +761,13 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
       // Consistency 4: the most recent orders carry exactly ol_cnt lines.
       const uint64_t check_from = max_o > 30 ? max_o - 30 : 1;
       for (uint64_t o_id = check_from; o_id <= max_o; ++o_id) {
-        OrderTable::Object* oo = db.orders.Find(OrderKey(w, d, o_id));
-        const OrderRow* orow = LatestRow<OrderTable>(oo);
+        const OrderRow* orow =
+            LatestRow(db.orders.Find(OrderKey(w, d, o_id)), &obuf);
         if (orow == nullptr) continue;
         int cnt = 0;
         for (uint64_t ol = 1; ol < kMaxOrderLines; ++ol) {
-          OrderLineTable::Object* lo =
-              db.order_lines.Find(OrderLineKey(w, d, o_id, ol));
-          if (lo != nullptr && LatestRow<OrderLineTable>(lo) != nullptr) {
+          if (LatestRow(db.order_lines.Find(OrderLineKey(w, d, o_id, ol)),
+                        &lbuf) != nullptr) {
             ++cnt;
           }
         }
@@ -770,5 +793,14 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
   }
   return true;
 }
+
+template class BasicTpccDb<Mv3cTransaction>;
+template class BasicTpccDb<sv::SvTransaction>;
+template std::function<ExecStatus(Mv3cTransaction&)> TpccProgram(
+    TpccDb&, const TpccParams&);
+template std::function<ExecStatus(sv::SvTransaction&)> TpccProgram(
+    SingleVersionTpccDb&, const TpccParams&);
+template bool CheckConsistency(TpccDb&, std::string*);
+template bool CheckConsistency(SingleVersionTpccDb&, std::string*);
 
 }  // namespace mv3c::tpcc

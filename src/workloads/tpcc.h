@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -12,14 +13,22 @@
 #include "common/random.h"
 #include "index/ordered_index.h"
 #include "mv3c/mv3c_executor.h"
+#include "sv/sv_transaction.h"
 
 namespace mv3c::tpcc {
 
-/// TPC-C for the MVCC engines (paper §6.1.1, Figures 8 and 11): all nine
-/// tables, the full five-transaction mix, NURand key skew, and the spec's
-/// 1% invalid-item rollback. Table sizes follow the spec (10 districts per
-/// warehouse, 3000 customers per district, 100k items/stock) but are
-/// parameters so tests can shrink them.
+/// TPC-C (paper §6.1.1, Figures 8 and 11): all nine tables, the full
+/// five-transaction mix, NURand key skew, and the spec's 1% invalid-item
+/// rollback. Table sizes follow the spec (10 districts per warehouse, 3000
+/// customers per district, 100k items/stock) but are parameters so tests
+/// can shrink them.
+///
+/// The schema, loader, programs and consistency check are written once,
+/// over the transaction type: Mv3cTransaction for MV3C and OMVCC (the MVCC
+/// store), sv::SvTransaction for OCC and SILO (the single-version store).
+/// Both instantiations live in tpcc.cc. What differs per store is only the
+/// transaction adapter, the table type (TpccTable) and how the loader puts
+/// a row (tpcc.cc's BatchLoader).
 ///
 /// Contention behavior mirrors the paper's description:
 ///   * Payment's warehouse/district YTD read-modify-writes and New-Order's
@@ -221,15 +230,11 @@ struct StockRow {
   }
 };
 
-using WarehouseTable = Table<uint64_t, WarehouseRow>;
-using DistrictTable = Table<uint64_t, DistrictRow>;
-using CustomerTable = Table<uint64_t, CustomerRow>;
-using HistoryTable = Table<uint64_t, HistoryRow>;
-using OrderTable = Table<uint64_t, OrderRow>;
-using NewOrderTable = Table<uint64_t, NewOrderRow>;
-using OrderLineTable = Table<uint64_t, OrderLineRow>;
-using ItemTable = Table<uint64_t, ItemRow>;
-using StockTable = Table<uint64_t, StockRow>;
+/// The table type of a TPC-C database whose programs run on `Txn`.
+template <typename Txn, typename Row>
+using TpccTable =
+    std::conditional_t<std::is_same_v<Txn, Mv3cTransaction>,
+                       Table<uint64_t, Row>, sv::SvTable<uint64_t, Row>>;
 
 // Secondary index key/partition types.
 
@@ -245,9 +250,6 @@ struct CustomerNameKey {
 struct CustomerNamePartition {
   size_t operator()(const CustomerNameKey& k) const { return k.wd; }
 };
-using CustomerNameIndex =
-    OrderedIndex<CustomerNameKey, CustomerTable::Object*,
-                 CustomerNamePartition>;
 
 /// Packed-uint64 secondary indexes: dividing the key by a constant yields
 /// the partition (a district, or a customer), so range scans stay within
@@ -257,24 +259,11 @@ struct DivPartition {
   size_t operator()(uint64_t key) const { return key / Divisor; }
 };
 
-/// NEW-ORDER queue per district: Delivery scans ascending for the oldest
-/// undelivered order.
-using NewOrderIndex =
-    OrderedIndex<uint64_t, NewOrderTable::Object*,
-                 DivPartition<kMaxOrdersPerD>>;
-/// Orders by customer (key = CustomerKey * kMaxOrdersPerD + o): Order-
-/// Status scans descending for the customer's latest order.
-using CustomerOrderIndex =
-    OrderedIndex<uint64_t, OrderTable::Object*, DivPartition<kMaxOrdersPerD>>;
+/// Orders-by-customer key (CustomerKey * kMaxOrdersPerD + o).
 inline uint64_t CustomerOrderKey(uint64_t w, uint64_t d, uint64_t c,
                                  uint64_t o) {
   return CustomerKey(w, d, c) * kMaxOrdersPerD + o;
 }
-/// Order lines by district (primary-key order): Delivery reads one order's
-/// lines, Stock-Level the lines of the last 20 orders.
-using OrderLineIndex =
-    OrderedIndex<uint64_t, OrderLineTable::Object*,
-                 DivPartition<kMaxOrdersPerD * kMaxOrderLines>>;
 
 // ---------------------------------------------------------------------------
 // Database
@@ -291,37 +280,64 @@ struct TpccScale {
   uint64_t preload_new_orders_per_d = 900;
 };
 
-class TpccDb {
+template <typename Txn>
+class BasicTpccDb {
  public:
-  TpccDb(TransactionManager* mgr, const TpccScale& scale)
-      : warehouses("WAREHOUSE", scale.n_warehouses,
-                   WwPolicy::kAllowMultiple),
-        districts("DISTRICT", scale.n_warehouses * scale.n_districts,
-                  WwPolicy::kAllowMultiple),
-        customers("CUSTOMER",
-                  scale.n_warehouses * scale.n_districts *
-                      scale.n_customers_per_d,
-                  WwPolicy::kAllowMultiple),
-        history("HISTORY", 1 << 16),
-        orders("ORDER", 1 << 16, WwPolicy::kAllowMultiple),
-        new_orders("NEW-ORDER", 1 << 16),
-        order_lines("ORDER-LINE", 1 << 18, WwPolicy::kAllowMultiple),
-        items("ITEM", scale.n_items),
-        stock("STOCK", scale.n_warehouses * scale.n_items,
-              WwPolicy::kAllowMultiple),
-        mgr_(mgr),
-        scale_(scale) {}
+  /// MV3C/OMVCC (true) or OCC/SILO (false).
+  static constexpr bool kMvcc = std::is_same_v<Txn, Mv3cTransaction>;
 
-  /// Populates all nine tables per the spec's rules (scaled).
+  using WarehouseTable = TpccTable<Txn, WarehouseRow>;
+  using DistrictTable = TpccTable<Txn, DistrictRow>;
+  using CustomerTable = TpccTable<Txn, CustomerRow>;
+  using HistoryTable = TpccTable<Txn, HistoryRow>;
+  using OrderTable = TpccTable<Txn, OrderRow>;
+  using NewOrderTable = TpccTable<Txn, NewOrderRow>;
+  using OrderLineTable = TpccTable<Txn, OrderLineRow>;
+  using ItemTable = TpccTable<Txn, ItemRow>;
+  using StockTable = TpccTable<Txn, StockRow>;
+
+  using CustomerNameIndex =
+      OrderedIndex<CustomerNameKey, typename CustomerTable::Object*,
+                   CustomerNamePartition>;
+  /// NEW-ORDER queue per district: Delivery scans ascending for the oldest
+  /// undelivered order.
+  using NewOrderIndex = OrderedIndex<uint64_t, typename NewOrderTable::Object*,
+                                     DivPartition<kMaxOrdersPerD>>;
+  /// Orders by customer (CustomerOrderKey): Order-Status scans descending
+  /// for the customer's latest order.
+  using CustomerOrderIndex =
+      OrderedIndex<uint64_t, typename OrderTable::Object*,
+                   DivPartition<kMaxOrdersPerD>>;
+  /// Order lines by district (primary-key order): Delivery reads one
+  /// order's lines, Stock-Level the lines of the last 20 orders.
+  using OrderLineIndex =
+      OrderedIndex<uint64_t, typename OrderLineTable::Object*,
+                   DivPartition<kMaxOrdersPerD * kMaxOrderLines>>;
+
+  /// An MVCC database loads (and cleans up) through `mgr`.
+  BasicTpccDb(TransactionManager* mgr, const TpccScale& scale)
+    requires kMvcc
+      : BasicTpccDb(scale, mgr) {}
+  explicit BasicTpccDb(const TpccScale& scale)
+    requires(!kMvcc)
+      : BasicTpccDb(scale, nullptr) {}
+
+  /// Populates all nine tables per the spec's rules (scaled); the same
+  /// seed yields the same rows in either store.
   void Load(uint64_t seed = 1);
 
   /// Physically removes NEW-ORDER queue entries whose rows were delivered
   /// (tombstoned) and are no longer visible to any active transaction.
   /// Delivery's oldest-undelivered scan otherwise re-skips every past
   /// delivery's ghost on each run. Call from driver maintenance.
-  size_t CleanupNewOrderQueue();
+  size_t CleanupNewOrderQueue()
+    requires kMvcc;
 
-  TransactionManager* manager() { return mgr_; }
+  TransactionManager* manager()
+    requires kMvcc
+  {
+    return mgr_;
+  }
   const TpccScale& scale() const { return scale_; }
 
   /// Next history primary key (HISTORY has no natural key).
@@ -345,10 +361,37 @@ class TpccDb {
   OrderLineIndex order_lines_by_district;
 
  private:
+  BasicTpccDb(const TpccScale& scale, TransactionManager* mgr)
+      : warehouses("WAREHOUSE", scale.n_warehouses),
+        districts("DISTRICT", scale.n_warehouses * scale.n_districts),
+        customers("CUSTOMER", scale.n_warehouses * scale.n_districts *
+                                  scale.n_customers_per_d),
+        history("HISTORY", 1 << 16),
+        orders("ORDER", 1 << 16),
+        new_orders("NEW-ORDER", 1 << 16),
+        order_lines("ORDER-LINE", 1 << 18),
+        items("ITEM", scale.n_items),
+        stock("STOCK", scale.n_warehouses * scale.n_items),
+        mgr_(mgr),
+        scale_(scale) {
+    if constexpr (kMvcc) {
+      // The rows the mix writes concurrently allow multiple uncommitted
+      // versions; conflicts on them surface at validation (see above).
+      for (TableBase* t : std::initializer_list<TableBase*>{
+               &warehouses, &districts, &customers, &orders, &order_lines,
+               &stock}) {
+        t->set_ww_policy(WwPolicy::kAllowMultiple);
+      }
+    }
+  }
+
   TransactionManager* mgr_;
   TpccScale scale_;
   std::atomic<uint64_t> history_seq_{0};
 };
+
+using TpccDb = BasicTpccDb<Mv3cTransaction>;
+using SingleVersionTpccDb = BasicTpccDb<sv::SvTransaction>;
 
 // ---------------------------------------------------------------------------
 // Transaction inputs and generator
@@ -433,14 +476,18 @@ class TpccGenerator {
 // Transaction programs
 // ---------------------------------------------------------------------------
 
-/// The TPC-C program for `p`; the same program runs under both conflict
-/// policies (MV3C repair, OMVCC restart).
-Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p);
+/// The TPC-C program for `p`, one body per transaction type for all four
+/// engines: MV3C and OMVCC run it on Mv3cTransaction (repair or restart
+/// policy), OCC and SILO on sv::SvTransaction.
+template <typename Txn>
+std::function<ExecStatus(Txn&)> TpccProgram(BasicTpccDb<Txn>& db,
+                                            const TpccParams& p);
 
 /// TPC-C consistency conditions (spec clause 3.3.2, subset): used by tests
-/// after workload runs. Returns true and fills `why` on the first
-/// violation found.
-bool CheckConsistency(TpccDb& db, std::string* why);
+/// after workload runs, on a quiescent database. Returns false and fills
+/// `why` on the first violation found.
+template <typename Txn>
+bool CheckConsistency(BasicTpccDb<Txn>& db, std::string* why);
 
 }  // namespace mv3c::tpcc
 

@@ -5,7 +5,6 @@
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
-#include "workloads/tpcc_sv.h"
 #include "workloads/trading.h"
 
 namespace mv3c {
@@ -34,28 +33,26 @@ inline void RegisterWalTables(wal::Catalog& cat, tatp::TatpDb& db) {
   cat.RegisterMvcc(4, &db.call_forwarding, db.manager());
 }
 
-inline void RegisterWalTables(wal::Catalog& cat, tpcc::TpccDb& db) {
-  cat.RegisterMvcc(1, &db.warehouses, db.manager());
-  cat.RegisterMvcc(2, &db.districts, db.manager());
-  cat.RegisterMvcc(3, &db.customers, db.manager());
-  cat.RegisterMvcc(4, &db.history, db.manager());
-  cat.RegisterMvcc(5, &db.orders, db.manager());
-  cat.RegisterMvcc(6, &db.new_orders, db.manager());
-  cat.RegisterMvcc(7, &db.order_lines, db.manager());
-  cat.RegisterMvcc(8, &db.items, db.manager());
-  cat.RegisterMvcc(9, &db.stock, db.manager());
-}
-
-inline void RegisterWalTables(wal::Catalog& cat, tpcc::SvTpccDb& db) {
-  cat.RegisterSv(1, &db.warehouses);
-  cat.RegisterSv(2, &db.districts);
-  cat.RegisterSv(3, &db.customers);
-  cat.RegisterSv(4, &db.history);
-  cat.RegisterSv(5, &db.orders);
-  cat.RegisterSv(6, &db.new_orders);
-  cat.RegisterSv(7, &db.order_lines);
-  cat.RegisterSv(8, &db.items);
-  cat.RegisterSv(9, &db.stock);
+/// One id list for both TPC-C stores: MVCC (MV3C/OMVCC) and single-version
+/// (OCC/SILO) databases log the same tables under the same ids.
+template <typename Txn>
+void RegisterWalTables(wal::Catalog& cat, tpcc::BasicTpccDb<Txn>& db) {
+  auto reg = [&](uint32_t id, auto* table) {
+    if constexpr (tpcc::BasicTpccDb<Txn>::kMvcc) {
+      cat.RegisterMvcc(id, table, db.manager());
+    } else {
+      cat.RegisterSv(id, table);
+    }
+  };
+  reg(1, &db.warehouses);
+  reg(2, &db.districts);
+  reg(3, &db.customers);
+  reg(4, &db.history);
+  reg(5, &db.orders);
+  reg(6, &db.new_orders);
+  reg(7, &db.order_lines);
+  reg(8, &db.items);
+  reg(9, &db.stock);
 }
 
 }  // namespace mv3c

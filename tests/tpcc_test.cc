@@ -8,8 +8,8 @@
 
 #include "driver/window_driver.h"
 #include "occ/occ_engine.h"
+#include "sv/sv_executor.h"
 #include "workloads/tpcc.h"
-#include "workloads/tpcc_sv.h"
 
 namespace mv3c {
 namespace {
@@ -57,7 +57,7 @@ TEST_F(TpccTest, NewOrderCommitsAndAdvancesDistrict) {
   } while (p.type != TpccTxnType::kNewOrder ||
            p.items[p.ol_cnt - 1].i_id > db_.scale().n_items);
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
   EXPECT_EQ(db_.orders.ObjectCount(), 401u);
@@ -76,18 +76,18 @@ TEST_F(TpccTest, NewOrderInvalidItemRollsBack) {
   }
   p.items[4].i_id = db_.scale().n_items + 1;  // invalid
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kUserAborted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kUserAborted);
   // No residue: next_o_id unchanged and the would-be order key invisible
   // (the data object may exist as a ghost from the rolled-back insert).
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
-  OrderTable::Object* ghost = db_.orders.Find(OrderKey(1, 1, 101));
+  TpccDb::OrderTable::Object* ghost = db_.orders.Find(OrderKey(1, 1, 101));
   if (ghost != nullptr) {
     EXPECT_EQ(ghost->ReadVisible(kTxnIdBase - 1, 0), nullptr);
   }
 
   Mv3cExecutor o(&mgr_, {}, kOmvcc);
-  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kUserAborted);
+  ASSERT_EQ(o.Run(TpccProgram(db_, p)), StepResult::kUserAborted);
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
 }
 
@@ -102,12 +102,12 @@ TEST_F(TpccTest, PaymentByIdAndByLastName) {
   p.amount = 1234;
   p.by_last_name = false;
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
 
   p.by_last_name = true;
   p.c_last = 3;  // last-name ids 0..99 exist for the 100 customers
   Mv3cExecutor o(&mgr_, {}, kOmvcc);
-  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(o.Run(TpccProgram(db_, p)), StepResult::kCommitted);
 
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
@@ -122,11 +122,11 @@ TEST_F(TpccTest, DeliveryDrainsNewOrders) {
   const size_t before = db_.new_orders.ObjectCount();
   (void)before;
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   // One new-order per district delivered (tombstoned, object remains).
   // Check via a second delivery picking the NEXT order.
   Mv3cExecutor o(&mgr_, {}, kOmvcc);
-  ASSERT_EQ(o.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(o.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
 }
@@ -139,7 +139,7 @@ TEST_F(TpccTest, OrderStatusAndStockLevelAreReadOnly) {
   p.c_id = 3;
   p.by_last_name = false;
   Mv3cExecutor e(&mgr_);
-  const StepResult r = e.Run(Mv3cTpccProgram(db_, p));
+  const StepResult r = e.Run(TpccProgram(db_, p));
   // Customer 3 may or may not have an order in the permutation; both
   // outcomes are fine, but nothing may be written.
   EXPECT_TRUE(r == StepResult::kCommitted || r == StepResult::kUserAborted);
@@ -148,7 +148,7 @@ TEST_F(TpccTest, OrderStatusAndStockLevelAreReadOnly) {
   p.type = TpccTxnType::kStockLevel;
   p.threshold = 15;
   Mv3cExecutor e2(&mgr_);
-  ASSERT_EQ(e2.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e2.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   EXPECT_EQ(e2.stats().validation_failures, 0u);
 }
 
@@ -169,12 +169,12 @@ TEST_F(TpccTest, ConcurrentNewOrdersPrematurelyAbort) {
   for (int i = 0; i < 5; ++i) q.items[i].i_id = 100 + i;
 
   Mv3cExecutor a(&mgr_), b(&mgr_);
-  a.Reset(Mv3cTpccProgram(db_, p));
-  b.Reset(Mv3cTpccProgram(db_, q));
+  a.Reset(TpccProgram(db_, p));
+  b.Reset(TpccProgram(db_, q));
   a.Begin();
   b.Begin();
   // a executes (uncommitted); b picks the same o_id and collides.
-  ASSERT_EQ(a.txn().RunProgram(Mv3cTpccProgram(db_, p)), ExecStatus::kOk);
+  ASSERT_EQ(a.txn().RunProgram(TpccProgram(db_, p)), ExecStatus::kOk);
   ASSERT_EQ(b.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(b.stats().ww_restarts, 1u);
   // Commit a, then b restarts cleanly with the next o_id.
@@ -211,8 +211,8 @@ TEST_F(TpccTest, ConcurrentPaymentsRepairWarehouseYtd) {
   q.amount = 500;
 
   Mv3cExecutor a(&mgr_), b(&mgr_);
-  a.Reset(Mv3cTpccProgram(db_, p));
-  b.Reset(Mv3cTpccProgram(db_, q));
+  a.Reset(TpccProgram(db_, p));
+  b.Reset(TpccProgram(db_, q));
   a.Begin();
   b.Begin();
   ASSERT_EQ(a.Step(), StepResult::kCommitted);
@@ -247,8 +247,8 @@ TEST_F(TpccTest, NewOrderAndPaymentDisjointColumns) {
   pay.by_last_name = false;
 
   Mv3cExecutor a(&mgr_), b(&mgr_);
-  a.Reset(Mv3cTpccProgram(db_, pay));
-  b.Reset(Mv3cTpccProgram(db_, no));
+  a.Reset(TpccProgram(db_, pay));
+  b.Reset(TpccProgram(db_, no));
   a.Begin();
   b.Begin();
   ASSERT_EQ(a.Step(), StepResult::kCommitted);
@@ -270,7 +270,7 @@ TEST_F(TpccTest, WindowMixedRunKeepsConsistency) {
       [&] { mgr_.CollectGarbage(); });
   const DriveResult res = driver.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(),
-      [&](uint64_t i) { return Mv3cTpccProgram(db_, stream[i]); }));
+      [&](uint64_t i) { return TpccProgram(db_, stream[i]); }));
   EXPECT_EQ(res.committed + res.user_aborted, stream.size());
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
@@ -289,7 +289,7 @@ TEST_F(TpccTest, WindowMixedRunKeepsConsistency) {
       [&] { mgr2.CollectGarbage(); });
   const DriveResult res2 = driver2.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(),
-      [&](uint64_t i) { return Mv3cTpccProgram(db2, stream[i]); }));
+      [&](uint64_t i) { return TpccProgram(db2, stream[i]); }));
   EXPECT_EQ(res2.committed + res2.user_aborted, stream.size());
   EXPECT_TRUE(CheckConsistency(db2, &why)) << why;
 }
@@ -304,7 +304,7 @@ TEST_F(TpccTest, CleanupNewOrderQueueRemovesDeliveredGhosts) {
   for (int i = 0; i < 10; ++i) {
     p.date = 100 + i;
     Mv3cExecutor e(&mgr_);
-    ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+    ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   }
   // 10 deliveries x 4 districts = 40 tombstoned queue entries.
   EXPECT_EQ(db_.new_order_queue.Size(), before);  // ghosts still indexed
@@ -314,7 +314,7 @@ TEST_F(TpccTest, CleanupNewOrderQueueRemovesDeliveredGhosts) {
   // Delivery still works after cleanup (next oldest order found).
   p.date = 200;
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   std::string why;
   EXPECT_TRUE(CheckConsistency(db_, &why)) << why;
 }
@@ -330,7 +330,7 @@ TEST_F(TpccTest, CleanupStopsAtActiveSnapshots) {
   p.carrier_id = 1;
   p.date = 300;
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTpccProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(db_, p)), StepResult::kCommitted);
   EXPECT_EQ(db_.CleanupNewOrderQueue(), 0u);  // pinned snapshot blocks
   mgr_.CommitReadOnly(&pinned.inner());
   EXPECT_EQ(db_.CleanupNewOrderQueue(), 4u);  // one per district
@@ -358,7 +358,7 @@ TEST(TpccMultiWarehouseTest, RemoteTransactionsStayConsistent) {
       [&] { mgr.CollectGarbage(); });
   const DriveResult res = driver.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(),
-      [&](uint64_t i) { return Mv3cTpccProgram(db, stream[i]); }));
+      [&](uint64_t i) { return TpccProgram(db, stream[i]); }));
   EXPECT_EQ(res.committed + res.user_aborted, stream.size());
   std::string why;
   EXPECT_TRUE(CheckConsistency(db, &why)) << why;
@@ -389,17 +389,17 @@ TEST(TpccMultiWarehouseTest, RemoteLineClearsAllLocalOnEveryEngine) {
     TpccDb db(&mgr, scale);
     db.Load(7);
     Mv3cExecutor e(&mgr, {}, use_mv3c ? ConflictPolicy::kRepair : kOmvcc);
-    ASSERT_EQ(e.Run(Mv3cTpccProgram(db, p)), StepResult::kCommitted);
+    ASSERT_EQ(e.Run(TpccProgram(db, p)), StepResult::kCommitted);
     const auto* v = db.orders.Find(okey)->ReadVisible(kTxnIdBase - 1, 0);
     ASSERT_NE(v, nullptr);
     EXPECT_FALSE(v->data().all_local);
   }
 
-  SvTpccDb sdb(scale);
+  SingleVersionTpccDb sdb(scale);
   sdb.Load(7);
   OccEngine engine;
   SvExecutor<OccEngine> e(&engine);
-  ASSERT_EQ(e.Run(SvTpccProgram(sdb, p)), StepResult::kCommitted);
+  ASSERT_EQ(e.Run(TpccProgram(sdb, p)), StepResult::kCommitted);
   OrderRow row;
   sdb.orders.Find(okey)->ReadStable(&row);
   EXPECT_FALSE(row.all_local);
