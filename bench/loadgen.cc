@@ -11,8 +11,8 @@
 //   loadgen --port=7433 --workload=tpcc --rate=20000 --seconds=10
 //       --connections=4
 //
-// Emits one RUNJSON line compatible with scripts/bench_capture.sh /
-// bench_compare.sh, keyed by (bench, engine, arrival_rate), carrying
+// Emits one RUNJSON line in the figure benches' format, keyed by (bench,
+// engine, arrival_rate), carrying
 // achieved throughput, shed fraction, committed-response p50/p99/p999, and
 // how many committed responses carried the durable flag.
 
@@ -451,8 +451,9 @@ int main(int argc, char** argv) {
       static_cast<double>(p999) / 1e3, static_cast<double>(ap50) / 1e3,
       static_cast<double>(ap99) / 1e3);
 
-  // RUNJSON, bench_capture.sh-compatible: "tps" is committed goodput (the
-  // cross-bench comparable number); serving-specific keys ride alongside.
+  // RUNJSON as the figure benches print it: "tps" is committed goodput
+  // (the cross-bench comparable number); serving-specific keys ride
+  // alongside.
   std::printf(
       "RUNJSON {\"bench\":\"serve_%s\",\"engine\":\"%s\",\"window\":0,"
       "\"seconds\":%.6f,\"committed\":%llu,\"durable\":%llu,"
