@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "common/cipher.h"
 
@@ -324,20 +326,61 @@ void BM_CuckooInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_CuckooInsert);
 
+/// Scans `state.range(1)` entries at a random start in one shard of
+/// `state.range(0)` entries; {100000, 200} is Stock-Level's order-line scan.
 void BM_OrderedIndexScan(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  const uint64_t span = static_cast<uint64_t>(state.range(1));
   OrderedIndex<uint64_t, uint64_t, SinglePartition> idx;
-  for (uint64_t k = 0; k < 10000; ++k) MV3C_CHECK(idx.Insert(k, k));
+  for (uint64_t k = 0; k < n; ++k) MV3C_CHECK(idx.Insert(k, k));
+  Xoshiro256 rng(5);
   for (auto _ : state) {
+    const uint64_t lo = rng.NextBounded(n - span);
     uint64_t sum = 0;
-    idx.ScanRange(4000, 4100, [&](uint64_t, uint64_t v) {
+    idx.ScanRange(lo, lo + span - 1, [&](uint64_t, uint64_t v) {
       sum += v;
       return true;
     });
     benchmark::DoNotOptimize(sum);
   }
-  state.SetItemsProcessed(state.iterations() * 100);
+  state.SetItemsProcessed(state.iterations() * span);
 }
-BENCHMARK(BM_OrderedIndexScan);
+BENCHMARK(BM_OrderedIndexScan)->Args({10000, 100})->Args({100000, 200});
+
+/// Fills one shard with 100k entries, inserting `keys` in order; teardown
+/// is not timed.
+void InsertIntoOneShard(benchmark::State& state,
+                        const std::vector<uint64_t>& keys) {
+  using Index = OrderedIndex<uint64_t, uint64_t, SinglePartition>;
+  for (auto _ : state) {
+    auto idx = std::make_unique<Index>();
+    for (uint64_t k : keys) MV3C_CHECK(idx->Insert(k, k));
+    state.PauseTiming();
+    idx.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * keys.size());
+}
+
+/// Ascending keys: the order-line, order and new-order shape.
+void BM_OrderedIndexAppend(benchmark::State& state) {
+  std::vector<uint64_t> keys(100000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  InsertIntoOneShard(state, keys);
+}
+BENCHMARK(BM_OrderedIndexAppend);
+
+/// Distinct keys in random order: the customers-by-name shape.
+void BM_OrderedIndexRandomInsert(benchmark::State& state) {
+  std::vector<uint64_t> keys(100000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  Xoshiro256 rng(9);
+  for (uint64_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.NextBounded(i + 1)]);
+  }
+  InsertIntoOneShard(state, keys);
+}
+BENCHMARK(BM_OrderedIndexRandomInsert);
 
 void BM_ZipfNext(benchmark::State& state) {
   ZipfGenerator zipf(100000, 1.4);

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -301,45 +303,286 @@ TEST(OrderedIndexTest, ShardVersionBumpsOnStructuralChange) {
   EXPECT_EQ(idx.ShardVersion({5, 0}), v2);
 }
 
+/// Checks `idx`'s [lo, hi] scans in both directions, stopping after `limit`
+/// entries (0 = all), against the model.
+void ExpectScansMatch(const TestIndex& idx,
+                      const std::map<PairKey, uint64_t>& ref,
+                      const PairKey& lo, const PairKey& hi, size_t limit) {
+  auto collect = [&](bool reverse) {
+    std::vector<uint64_t> got;
+    auto fn = [&](const PairKey& k, uint64_t v) {
+      EXPECT_EQ(k.seq, v);
+      got.push_back(v);
+      return limit == 0 || got.size() < limit;
+    };
+    if (reverse) {
+      idx.ScanRangeReverse(lo, hi, fn);
+    } else {
+      idx.ScanRange(lo, hi, fn);
+    }
+    return got;
+  };
+  std::vector<uint64_t> fwd;
+  for (auto it = ref.lower_bound(lo); it != ref.end() && !(hi < it->first) &&
+                                      (limit == 0 || fwd.size() < limit);
+       ++it) {
+    fwd.push_back(it->second);
+  }
+  std::vector<uint64_t> rev;
+  for (auto it = ref.upper_bound(hi);
+       it != ref.begin() && (limit == 0 || rev.size() < limit);) {
+    --it;
+    if (it->first < lo) break;
+    rev.push_back(it->second);
+  }
+  ASSERT_EQ(collect(false), fwd) << lo.partition << " [" << lo.seq << ", "
+                                 << hi.seq << "] limit " << limit;
+  ASSERT_EQ(collect(true), rev) << lo.partition << " [" << lo.seq << ", "
+                                << hi.seq << "] limit " << limit;
+}
+
+/// Random inserts, erases, lookups and scans over four partitions, checked
+/// against std::map, in three phases per partition: ascending appends (the
+/// right-edge split), a random mix, then erasing from the left edge until
+/// the shard is empty and appending again. Every operation also checks
+/// that the shard version moved exactly when the operation changed the
+/// shard. ~130k operations; shards reach two inner levels (checked on a
+/// bare tree below).
 TEST(OrderedIndexTest, RandomizedAgainstStdMap) {
+  constexpr uint32_t kParts = 4;
+  constexpr uint64_t kSeqs = 24000;
   Xoshiro256 rng(42);
   TestIndex idx;
   std::map<PairKey, uint64_t> ref;
-  for (int op = 0; op < 20000; ++op) {
-    PairKey key{static_cast<uint32_t>(rng.NextBounded(8)),
-                rng.NextBounded(200)};
-    switch (rng.NextBounded(4)) {
-      case 0:
-        ASSERT_EQ(idx.Insert(key, key.seq), ref.emplace(key, key.seq).second);
-        break;
-      case 1:
-        ASSERT_EQ(idx.Erase(key), ref.erase(key) > 0);
-        break;
-      case 2: {
-        uint64_t v;
-        ASSERT_EQ(idx.Find(key, &v), ref.count(key) > 0);
-        break;
-      }
-      case 3: {
-        // Range scan within the partition, compared to the model.
-        const PairKey lo{key.partition, 0};
-        const PairKey hi{key.partition, 199};
-        std::vector<uint64_t> got;
-        idx.ScanRange(lo, hi, [&](const PairKey&, uint64_t v) {
-          got.push_back(v);
-          return true;
-        });
-        std::vector<uint64_t> want;
-        for (auto it = ref.lower_bound(lo);
-             it != ref.end() && !(hi < it->first); ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(got, want);
-        break;
-      }
+  auto insert = [&](const PairKey& key) {
+    const uint64_t before = idx.ShardVersion(key);
+    const bool want = ref.emplace(key, key.seq).second;
+    ASSERT_EQ(idx.Insert(key, key.seq), want);
+    ASSERT_EQ(idx.ShardVersion(key), before + (want ? 1 : 0));
+  };
+  auto erase = [&](const PairKey& key) {
+    const uint64_t before = idx.ShardVersion(key);
+    const bool want = ref.erase(key) > 0;
+    ASSERT_EQ(idx.Erase(key), want);
+    ASSERT_EQ(idx.ShardVersion(key), before + (want ? 1 : 0));
+  };
+  auto random_scan = [&](uint32_t part) {
+    uint64_t a = rng.NextBounded(kSeqs);
+    uint64_t b = rng.NextBounded(kSeqs);
+    if (b < a) std::swap(a, b);
+    const size_t limit = rng.NextBounded(2) == 0 ? 0 : 1 + rng.NextBounded(300);
+    ExpectScansMatch(idx, ref, {part, a}, {part, b}, limit);
+  };
+  // Phase 1: ascending appends, with duplicate re-inserts and a few scans.
+  for (uint32_t part = 0; part < kParts; ++part) {
+    for (uint64_t s = 0; s < kSeqs / 2; s += 1 + rng.NextBounded(2)) {
+      insert({part, s});
+      if (rng.NextBounded(16) == 0) insert({part, s});  // duplicate
+      if (rng.NextBounded(512) == 0) random_scan(part);
     }
   }
   ASSERT_EQ(idx.Size(), ref.size());
+  // Phase 2: random mix over the whole key range.
+  for (int op = 0; op < 60000; ++op) {
+    const uint32_t part = static_cast<uint32_t>(rng.NextBounded(kParts));
+    const PairKey key{part, rng.NextBounded(kSeqs)};
+    switch (rng.NextBounded(8)) {
+      case 0: case 1: case 2:
+        insert(key);
+        break;
+      case 3: case 4:
+        erase(key);
+        break;
+      case 5: case 6: {
+        uint64_t v = 0;
+        const auto it = ref.find(key);
+        ASSERT_EQ(idx.Find(key, &v), it != ref.end());
+        if (it != ref.end()) {
+          ASSERT_EQ(v, it->second);
+        }
+        break;
+      }
+      case 7:
+        random_scan(part);
+        break;
+    }
+  }
+  ASSERT_EQ(idx.Size(), ref.size());
+  // Phase 3: empty two partitions from the left edge (as Delivery drains
+  // the NEW-ORDER queue), checking the head of the shard as it shrinks,
+  // then append into the emptied shards again.
+  for (uint32_t part = 0; part < 2; ++part) {
+    for (uint64_t s = 0; s < kSeqs; ++s) {
+      erase({part, s});
+      if (s % 997 == 0) ExpectScansMatch(idx, ref, {part, 0}, {part, kSeqs}, 5);
+    }
+    uint64_t v = 0;
+    ASSERT_FALSE(idx.Find({part, 0}, &v));
+    ExpectScansMatch(idx, ref, {part, 0}, {part, kSeqs}, 0);
+    for (uint64_t s = kSeqs; s < kSeqs + 3000; ++s) insert({part, s});
+    ExpectScansMatch(idx, ref, {part, 0}, {part, 2 * kSeqs}, 0);
+  }
+  for (uint32_t part = 0; part < kParts; ++part) {
+    ExpectScansMatch(idx, ref, {part, 0}, {part, 2 * kSeqs}, 0);
+  }
+  ASSERT_EQ(idx.Size(), ref.size());
+}
+
+/// Appending keys in order fills leaves exactly (the right-edge split), so
+/// scans that start or stop at a multiple of the leaf size start or stop
+/// exactly at a leaf boundary.
+TEST(OrderedIndexTest, ScansStartAndStopAtLeafBoundaries) {
+  constexpr uint64_t kLeaf = detail::BPlusTree<PairKey, uint64_t>::kLeafSlots;
+  constexpr uint64_t kKeys = kLeaf * 70;  // enough leaves for two levels
+  TestIndex idx;
+  std::map<PairKey, uint64_t> ref;
+  for (uint64_t s = 0; s < kKeys; ++s) {
+    ASSERT_TRUE(idx.Insert({9, s}, s));
+    ref.emplace(PairKey{9, s}, s);
+  }
+  for (uint64_t b = 0; b <= kKeys; b += kLeaf * 3) {
+    for (uint64_t lo : {b, b + 1, b > 0 ? b - 1 : 0}) {
+      for (uint64_t hi : {b + kLeaf - 1, b + kLeaf, b + 2 * kLeaf - 1}) {
+        for (size_t limit : {size_t{0}, size_t{1}, size_t{kLeaf},
+                             size_t{kLeaf + 1}}) {
+          ExpectScansMatch(idx, ref, {9, lo}, {9, hi}, limit);
+        }
+      }
+    }
+  }
+  // Empty ranges: between keys, and past either end.
+  ExpectScansMatch(idx, ref, {9, kKeys}, {9, kKeys + 100}, 0);
+  ExpectScansMatch(idx, ref, {9, 5}, {9, 4}, 0);
+}
+
+/// The bare tree: ascending appends keep leaves full and the tree grows to
+/// two inner levels; mid-range inserts split in half; erasing everything
+/// from the left edge frees every node back to an empty root leaf.
+TEST(BPlusTreeTest, GrowsAndShrinksWithTheModel) {
+  using Tree = detail::BPlusTree<uint64_t, uint64_t>;
+  Tree tree;
+  std::map<uint64_t, uint64_t> ref;
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  auto expect_equal = [&] {
+    Entries got;
+    auto fn = [&](uint64_t k, uint64_t v) {
+      got.emplace_back(k, v);
+      return true;
+    };
+    tree.Scan(0, UINT64_MAX, fn);
+    ASSERT_EQ(got, Entries(ref.begin(), ref.end()));
+    Entries back;
+    auto rfn = [&](uint64_t k, uint64_t v) {
+      back.emplace_back(k, v);
+      return true;
+    };
+    tree.ScanReverse(0, UINT64_MAX, rfn);
+    ASSERT_EQ(back, Entries(ref.rbegin(), ref.rend()));
+    ASSERT_EQ(tree.size(), ref.size());
+  };
+  // 64 * 64 + 1 appended keys need 65 full leaves: one root cannot hold
+  // them, so a second inner level appears.
+  constexpr uint64_t kAppends = Tree::kLeafSlots * Tree::kInnerSlots + 1;
+  for (uint64_t k = 0; k < kAppends; ++k) {
+    ASSERT_TRUE(tree.Insert(k * 4, k));
+    ref.emplace(k * 4, k);
+  }
+  EXPECT_EQ(tree.height(), 2);
+  expect_equal();
+  Xoshiro256 rng(7);
+  for (int op = 0; op < 40000; ++op) {
+    const uint64_t k = rng.NextBounded(kAppends * 4);
+    if (rng.NextBounded(3) == 0) {
+      ASSERT_EQ(tree.Erase(k), ref.erase(k) > 0);
+    } else {
+      ASSERT_EQ(tree.Insert(k, op), ref.emplace(k, op).second);
+    }
+    const uint64_t* v = tree.Find(k);
+    const auto it = ref.find(k);
+    ASSERT_EQ(v != nullptr, it != ref.end());
+    if (v != nullptr) {
+      ASSERT_EQ(*v, it->second);
+    }
+  }
+  EXPECT_GE(tree.height(), 2);
+  expect_equal();
+  while (!ref.empty()) {
+    ASSERT_TRUE(tree.Erase(ref.begin()->first));
+    ref.erase(ref.begin());
+  }
+  EXPECT_EQ(tree.height(), 0);
+  ASSERT_FALSE(tree.Erase(0));
+  expect_equal();
+  for (uint64_t k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(tree.Insert(k, k));
+    ref.emplace(k, k);
+  }
+  expect_equal();
+}
+
+/// Four threads insert, scan and erase on two shared shards (run under
+/// TSan in CI). Each thread owns the keys congruent to its id, so at the
+/// end the index must hold exactly the keys each thread left in place;
+/// every scan must see ascending (or descending) keys within its bounds.
+TEST(OrderedIndexTest, ConcurrentInsertScanEraseOnSharedShards) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 6000;
+  TestIndex idx;
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(100 + t);
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const uint64_t seq = i * kThreads + t;
+        const uint32_t part = static_cast<uint32_t>(seq % 2);
+        if (!idx.Insert({part, seq}, seq)) ok = false;
+        if (i % 3 == 2) {
+          // Erase one of this thread's earlier keys; keep the rest.
+          const uint64_t old = (i - 2) * kThreads + t;
+          if (!idx.Erase({static_cast<uint32_t>(old % 2), old})) ok = false;
+        }
+        if (i % 8 == 0) {
+          const uint64_t lo = rng.NextBounded(kPerThread * kThreads);
+          const uint64_t hi = lo + rng.NextBounded(400);
+          uint64_t prev = 0;
+          bool first = true;
+          auto check = [&](const PairKey& k, uint64_t v, bool reverse) {
+            if (k.seq != v || k.seq < lo || k.seq > hi) ok = false;
+            if (!first && (reverse ? k.seq >= prev : k.seq <= prev)) {
+              ok = false;
+            }
+            first = false;
+            prev = k.seq;
+            return true;
+          };
+          idx.ScanRange({part, lo}, {part, hi},
+                        [&](const PairKey& k, uint64_t v) {
+                          return check(k, v, false);
+                        });
+          first = true;
+          idx.ScanRangeReverse({part, lo}, {part, hi},
+                               [&](const PairKey& k, uint64_t v) {
+                                 return check(k, v, true);
+                               });
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(ok.load());
+  size_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      const uint64_t seq = i * kThreads + t;
+      const bool erased = i + 2 < kPerThread && (i + 2) % 3 == 2;
+      uint64_t v = 0;
+      ASSERT_EQ(idx.Find({static_cast<uint32_t>(seq % 2), seq}, &v), !erased)
+          << seq;
+      expected += erased ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(idx.Size(), expected);
 }
 
 }  // namespace
