@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/thread_driver.h"
 #include "driver/window_driver.h"
 #include "occ/occ_engine.h"
 #include "sv/sv_executor.h"
@@ -292,6 +293,38 @@ TEST_F(TpccTest, WindowMixedRunKeepsConsistency) {
       [&](uint64_t i) { return TpccProgram(db2, stream[i]); }));
   EXPECT_EQ(res2.committed + res2.user_aborted, stream.size());
   EXPECT_TRUE(CheckConsistency(db2, &why)) << why;
+}
+
+// The full mix on two real worker threads under each MVCC policy: the run
+// where the ordered indexes see concurrent inserts, scans and erases
+// (including the maintenance hook's NEW-ORDER cleanup) together with
+// repair and restart. Run under TSan in CI.
+TEST(TpccThreadedTest, TwoWorkersKeepConsistencyOnBothPolicies) {
+  constexpr size_t kWorkers = 2;
+  TpccGenerator gen(TestScale(), 31);
+  std::vector<TpccParams> stream;
+  for (int i = 0; i < 1500; ++i) stream.push_back(gen.Next());
+  for (const ConflictPolicy policy : {ConflictPolicy::kRepair, kOmvcc}) {
+    SCOPED_TRACE(policy == ConflictPolicy::kRepair ? "mv3c" : "omvcc");
+    TransactionManager mgr;
+    TpccDb db(&mgr, TestScale());
+    db.Load(7);
+    const DriveResult res = ThreadDriver<Mv3cExecutor>::Run(
+        kWorkers, stream.size(),
+        [&](size_t) {
+          return std::make_unique<Mv3cExecutor>(&mgr, RetryPolicy{}, policy);
+        },
+        [&](uint64_t i, size_t) { return TpccProgram(db, stream[i]); },
+        [&] {
+          mgr.CollectGarbage();
+          db.CleanupNewOrderQueue();
+        });
+    EXPECT_EQ(res.committed + res.user_aborted + res.exhausted,
+              stream.size());
+    EXPECT_GT(res.committed, res.user_aborted);
+    std::string why;
+    EXPECT_TRUE(CheckConsistency(db, &why)) << why;
+  }
 }
 
 TEST_F(TpccTest, CleanupNewOrderQueueRemovesDeliveredGhosts) {
