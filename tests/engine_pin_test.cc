@@ -14,6 +14,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -228,6 +229,13 @@ struct Pin {
   std::vector<uint64_t> drive;
   std::vector<uint64_t> counters;
 };
+
+// gtest lists a case with its parameter printed; without this overload it
+// dumps Pin's raw bytes, pointers included, and the listed names change
+// from build to build.
+void PrintTo(const Pin& pin, std::ostream* os) {
+  *os << pin.workload << '/' << pin.engine;
+}
 
 // clang-format off
 const Pin kPins[] = {
