@@ -9,6 +9,7 @@
 
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "common/spinlock.h"
 #include "common/thread_safety.h"
 
@@ -54,6 +55,7 @@ class CuckooMap {
     while (buckets * kSlotsPerBucket < initial_capacity * 2) buckets <<= 1;
     buckets_.resize(buckets);
     bucket_mask_.store(buckets - 1, std::memory_order_relaxed);
+    bucket_hint_.store(buckets_.data(), std::memory_order_relaxed);
   }
 
   CuckooMap(const CuckooMap&) = delete;
@@ -124,6 +126,23 @@ class CuckooMap {
       }
       return false;
     }
+  }
+
+  /// Starts loading `key`'s two candidate buckets into the cache, so a
+  /// following Find or Insert of it does not wait on memory. A hint, not a
+  /// lookup: it takes no lock and reads no slot. The bucket array address
+  /// comes from `bucket_hint_`, not `buckets_`, which a concurrent Resize
+  /// replaces; a hint that trails a resize, or pairs with a newer mask,
+  /// prefetches a stale or out-of-range address, which never faults.
+  void Prefetch(const K& key) const {
+    const uint64_t h = HashOf(key);
+    const size_t mask = bucket_mask_.load(std::memory_order_relaxed);
+    const uintptr_t base = reinterpret_cast<uintptr_t>(
+        bucket_hint_.load(std::memory_order_relaxed));
+    const size_t b1 = h & mask;
+    const size_t b2 = AltIndexOf(b1, h, mask);
+    PrefetchBytes(base + b1 * sizeof(Bucket), sizeof(Bucket));
+    PrefetchBytes(base + b2 * sizeof(Bucket), sizeof(Bucket));
   }
 
   /// Returns true if `key` is present.
@@ -415,6 +434,7 @@ class CuckooMap {
         MV3C_CHECK(TryInsertIntoBucket(target, slot.key, slot.value));
       }
     }
+    bucket_hint_.store(buckets_.data(), std::memory_order_relaxed);
     bucket_mask_.store(buckets_.size() - 1, std::memory_order_release);
     for (size_t i = kNumLocks; i-- > 0;) locks_[i].unlock();
   }
@@ -427,6 +447,10 @@ class CuckooMap {
   // mv3c-lint: allow(guarded_by_coverage)
   std::vector<Bucket> buckets_;
   std::atomic<size_t> bucket_mask_;
+  /// `buckets_.data()`, republished by every Resize, for Prefetch alone:
+  /// a prefetch may use an address that is already stale, but reading the
+  /// vector itself without a stripe lock would race with Resize.
+  std::atomic<const Bucket*> bucket_hint_{nullptr};
   mutable SpinLock locks_[kNumLocks];
   SpinLock evict_lock_;
   std::atomic<size_t> size_{0};

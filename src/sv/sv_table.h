@@ -1,6 +1,7 @@
 #ifndef MV3C_SV_SV_TABLE_H_
 #define MV3C_SV_SV_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <type_traits>
 
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "common/spinlock.h"
 #include "common/thread_safety.h"
 #include "index/cuckoo_map.h"
@@ -127,6 +129,24 @@ class SvTable {
     Rec* r = nullptr;
     (void)index_.Find(key, &r);  // miss leaves r nullptr, the signal
     return r;
+  }
+
+  /// Group prefetch of `keys[0..n)`, the single-version twin of
+  /// Table::Prefetch: the index buckets of a chunk of keys, then each
+  /// present key's record, whose row is stored in place (two misses per
+  /// cold read instead of three). A hint: it reads no row and records
+  /// nothing for any transaction.
+  void Prefetch(const K* keys, size_t n) const {
+    constexpr size_t kChunk = 16;
+    for (size_t base = 0; base < n; base += kChunk) {
+      const size_t m = std::min(kChunk, n - base);
+      for (size_t i = 0; i < m; ++i) index_.Prefetch(keys[base + i]);
+      for (size_t i = 0; i < m; ++i) {
+        if (const Rec* r = Find(keys[base + i])) {
+          PrefetchBytes(r, sizeof(Rec));
+        }
+      }
+    }
   }
 
   /// Returns the record for `key`, creating an ABSENT one if needed.

@@ -1,12 +1,15 @@
 // Property and stress tests for the index substrates: the concurrent
-// cuckoo hash map (primary-key index, §5) and the partitioned ordered
-// index (TPC-C secondary access paths). Randomized operation sequences are
+// cuckoo hash map (primary-key index, §5), the tables' group prefetch
+// over it, and the partitioned ordered index (TPC-C secondary access
+// paths). Randomized operation sequences are
 // checked against std:: reference models.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <thread>
 #include <unordered_map>
@@ -16,6 +19,10 @@
 #include "common/random.h"
 #include "index/cuckoo_map.h"
 #include "index/ordered_index.h"
+#include "mvcc/table.h"
+#include "mvcc/transaction.h"
+#include "mvcc/transaction_manager.h"
+#include "sv/sv_table.h"
 
 namespace mv3c {
 namespace {
@@ -225,6 +232,95 @@ TEST(CuckooMapTest, ResizeExactlyDoubles) {
       ASSERT_TRUE(map.Find(i * 0x9E3779B97F4A7C15ULL, &v)) << i;
       ASSERT_EQ(v, i);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Prefetch: a read hint over the cuckoo index, never a read
+// ---------------------------------------------------------------------------
+
+struct PrefetchRow {
+  uint64_t value = 0;
+};
+
+// A prefetch takes no lock, so it can meet a Resize mid-flight: it reads
+// the bucket array's address from an atomic hint that trails the resize,
+// never the vector itself, and prefetching a stale address is harmless.
+// One thread grows a map and a table through several resizes while
+// another prefetches windows straddling the insert frontier (present keys
+// with a head version, absent keys, more than one prefetch chunk). The
+// tsan-chaos job runs this under TSan.
+TEST(PrefetchTest, SafeAgainstResizeAndAbsentKeys) {
+  TransactionManager mgr;
+  CuckooMap<uint64_t, uint64_t> map(16);
+  Table<uint64_t, PrefetchRow> table("prefetch", 16);
+  constexpr uint64_t kKeys = 1 << 14;
+  constexpr uint64_t kBatch = 32;
+  constexpr uint64_t kWindow = 40;
+  const size_t initial_buckets = map.BucketCount();
+  std::atomic<bool> reader_started{false};
+  std::atomic<uint64_t> inserted{0};
+  std::thread writer([&] {
+    while (!reader_started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (uint64_t base = 0; base < kKeys; base += kBatch) {
+      Transaction t(&mgr);
+      mgr.Begin(&t);
+      for (uint64_t k = base; k < base + kBatch; ++k) {
+        ASSERT_TRUE(map.Insert(k, k + 1));
+        ASSERT_EQ(t.Insert(table, k, PrefetchRow{k + 1}), WriteStatus::kOk);
+      }
+      ASSERT_TRUE(mgr.TryCommit(&t, [](CommittedRecord*) { return true; }));
+      inserted.store(base + kBatch, std::memory_order_release);
+    }
+  });
+  reader_started.store(true, std::memory_order_release);
+  uint64_t front;
+  do {
+    front = inserted.load(std::memory_order_acquire);
+    uint64_t keys[kWindow];
+    const uint64_t first = front - std::min(front, kWindow / 2);
+    for (uint64_t i = 0; i < kWindow; ++i) keys[i] = first + i;
+    for (const uint64_t k : keys) map.Prefetch(k);
+    table.Prefetch(keys, kWindow);
+  } while (front < kKeys);
+  writer.join();
+
+  EXPECT_GE(map.BucketCount(), 8 * initial_buckets);  // three resizes
+  EXPECT_EQ(map.Size(), kKeys);
+  EXPECT_EQ(table.ObjectCount(), kKeys);  // absent keys stayed absent
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(map.Find(k, &v)) << k;
+    ASSERT_EQ(v, k + 1);
+    const auto* obj = table.Find(k);
+    ASSERT_NE(obj, nullptr) << k;
+    const auto* row = obj->ReadVisible(kTxnIdBase - 1, 0);
+    ASSERT_NE(row, nullptr) << k;
+    ASSERT_EQ(row->data().value, k + 1);
+  }
+}
+
+TEST(PrefetchTest, EmptyTableAndNoKeysAreNoOps) {
+  CuckooMap<uint64_t, uint64_t> map(16);
+  Table<uint64_t, PrefetchRow> table("empty", 16);
+  sv::SvTable<uint64_t, PrefetchRow> sv_table("empty_sv", 16);
+  const uint64_t keys[] = {0, 1, 42, ~uint64_t{0}};
+  for (const uint64_t k : keys) map.Prefetch(k);
+  table.Prefetch(keys, std::size(keys));
+  table.Prefetch(keys, 0);
+  table.Prefetch(nullptr, 0);
+  sv_table.Prefetch(keys, std::size(keys));
+  sv_table.Prefetch(keys, 0);
+  sv_table.Prefetch(nullptr, 0);
+  EXPECT_EQ(map.Size(), 0u);
+  EXPECT_EQ(table.ObjectCount(), 0u);
+  EXPECT_EQ(sv_table.RecordCount(), 0u);
+  for (const uint64_t k : keys) {
+    EXPECT_FALSE(map.Contains(k));
+    EXPECT_EQ(table.Find(k), nullptr);
+    EXPECT_EQ(sv_table.Find(k), nullptr);
   }
 }
 
