@@ -315,6 +315,21 @@ size_t MiddleIndex(const Entries& entries) {
 
 template <typename Txn>
 ExecStatus NewOrderBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
+  // Group prefetch (DESIGN §2.5b): the customer, item and stock rows are
+  // named by the parameters, so their cache misses start together here
+  // instead of one at a time inside the closures.
+  {
+    const uint64_t c_key = CustomerKey(p->w_id, p->d_id, p->c_id);
+    uint64_t item_keys[kMaxOrderLines];
+    uint64_t stock_keys[kMaxOrderLines];
+    for (uint8_t i = 0; i < p->ol_cnt; ++i) {
+      item_keys[i] = p->items[i].i_id;
+      stock_keys[i] = StockKey(p->items[i].supply_w, p->items[i].i_id);
+    }
+    db.customers.Prefetch(&c_key, 1);
+    db.items.Prefetch(item_keys, p->ol_cnt);
+    db.stock.Prefetch(stock_keys, p->ol_cnt);
+  }
   // Nesting: warehouse ⊃ customer ⊃ district ⊃ (per item: item ⊃ stock).
   // The hot repairable conflicts (stock updates) sit at the innermost
   // level; the district bump's ORDER/NEW-ORDER key collisions fail fast.
@@ -351,12 +366,24 @@ ExecStatus NewOrderBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
                         db.districts, dobj, dn, ColumnMask::Of(kColDNextOid),
                         /*blind=*/false, WwPolicy::kFailFast);
                     if (st != ExecStatus::kOk) return st;
+                    const uint64_t okey = OrderKey(p->w_id, p->d_id, o_id);
+                    {
+                      // The rows this order inserts, now that o_id is
+                      // known: their index buckets, for GetOrCreate.
+                      uint64_t line_keys[kMaxOrderLines];
+                      for (uint8_t i = 0; i < p->ol_cnt; ++i) {
+                        line_keys[i] =
+                            OrderLineKey(p->w_id, p->d_id, o_id, i + 1);
+                      }
+                      db.orders.Prefetch(&okey, 1);
+                      db.new_orders.Prefetch(&okey, 1);
+                      db.order_lines.Prefetch(line_keys, p->ol_cnt);
+                    }
                     OrderRow orow;
                     orow.c_id = p->c_id;
                     orow.entry_d = p->date;
                     orow.ol_cnt = p->ol_cnt;
                     orow.all_local = AllLinesLocal(*p);
-                    const uint64_t okey = OrderKey(p->w_id, p->d_id, o_id);
                     typename Db<Txn>::OrderTable::Object* oobj = nullptr;
                     if (t.InsertRow(db.orders, okey, orow, &oobj) !=
                         WriteStatus::kOk) {
@@ -447,6 +474,12 @@ ExecStatus NewOrderBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
 
 template <typename Txn>
 ExecStatus PaymentBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
+  // By id, the customer row is known up front: start its misses now, so
+  // they overlap the warehouse and district updates (DESIGN §2.5b).
+  if (!p->by_last_name) {
+    const uint64_t c_key = CustomerKey(p->c_w_id, p->c_d_id, p->c_id);
+    db.customers.Prefetch(&c_key, 1);
+  }
   // Three independent roots (disjoint failure units, Figure 1(a)): the
   // warehouse YTD bump, the district YTD bump, and the customer payment
   // (with the HISTORY insert nested under the customer).
@@ -666,16 +699,13 @@ ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
             [](const uint64_t& key, const OrderLineRow&) { return key; },
             nullptr, ColumnMask::Of(kColOlInfo), 0, false,
             [&db, p](Txn& t, const auto& lines) -> ExecStatus {
-              std::vector<uint64_t> seen;
+              const std::vector<uint64_t> keys =
+                  DistinctStockKeys(lines, p->w_id);
+              db.stock.Prefetch(keys.data(), keys.size());
               int low_stock = 0;
-              for (const auto& l : lines) {
-                const uint64_t i_id = l.row.i_id;
-                if (std::find(seen.begin(), seen.end(), i_id) != seen.end()) {
-                  continue;
-                }
-                seen.push_back(i_id);
+              for (const uint64_t s_key : keys) {
                 const ExecStatus st = t.Lookup(
-                    db.stock, StockKey(p->w_id, i_id),
+                    db.stock, s_key,
                     ColumnMask::Of(kColSQuantity),
                     [p, &low_stock](Txn&, auto*,
                                     const StockRow* s) -> ExecStatus {

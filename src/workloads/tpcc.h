@@ -1,6 +1,7 @@
 #ifndef MV3C_WORKLOADS_TPCC_H_
 #define MV3C_WORKLOADS_TPCC_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/nurand.h"
 #include "common/random.h"
 #include "index/ordered_index.h"
@@ -442,6 +444,39 @@ inline bool AllLinesLocal(const TpccParams& p) {
     if (p.items[i].supply_w != p.w_id) return false;
   }
   return true;
+}
+
+/// Stock-Level's lookup list: the STOCK keys (warehouse `w_id`) of the
+/// distinct items on `lines` (elements with `row.i_id`), in the order each
+/// item first appears. Sorting (item, line) pairs packed into one word
+/// keeps it O(n log n) in one allocation: the first sort groups each
+/// item's lines with its first line leading, the second restores line
+/// order.
+template <typename Lines>
+std::vector<uint64_t> DistinctStockKeys(const Lines& lines, uint64_t w_id) {
+  constexpr int kBits = 20;  // item ids and line positions fit, as StockKey
+  constexpr uint64_t kLow = (uint64_t{1} << kBits) - 1;
+  MV3C_CHECK(lines.size() <= kLow);
+  std::vector<uint64_t> v;
+  v.reserve(lines.size());
+  for (const auto& l : lines) {
+    const uint64_t i_id = l.row.i_id;
+    MV3C_DCHECK(i_id <= kLow);
+    v.push_back((i_id << kBits) | v.size());
+  }
+  std::sort(v.begin(), v.end());
+  size_t n = 0;
+  uint64_t prev = ~uint64_t{0};
+  for (const uint64_t x : v) {  // writes trail reads: n <= the read index
+    const uint64_t i_id = x >> kBits;
+    if (i_id == prev) continue;
+    prev = i_id;
+    v[n++] = ((x & kLow) << kBits) | i_id;  // (first line, item)
+  }
+  v.resize(n);
+  std::sort(v.begin(), v.end());
+  for (uint64_t& x : v) x = StockKey(w_id, x & kLow);
+  return v;
 }
 
 /// Standard-mix generator with the spec's NURand constants (clause 2.1.6)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "driver/thread_driver.h"
 #include "driver/window_driver.h"
 #include "occ/occ_engine.h"
@@ -155,6 +157,26 @@ TEST_F(TpccTest, OrderStatusAndStockLevelAreReadOnly) {
 
 // §6.1.1: concurrent New-Orders on the same district collide on the
 // ORDER/NEW-ORDER keys and prematurely abort (fail-fast inserts).
+// Stock-Level looks up each distinct item of its scanned lines once, in
+// the order the items first appear (the order the lookups had when the
+// list was built by a linear search, so the predicate order is kept).
+TEST(TpccStockLevelTest, DistinctStockKeysKeepFirstSeenOrder) {
+  struct Line {
+    OrderLineRow row;
+  };
+  std::vector<Line> lines;
+  for (const uint64_t i_id : {5, 3, 5, 9, 3, 1, 9, 7, 5}) {
+    Line l;
+    l.row.i_id = i_id;
+    lines.push_back(l);
+  }
+  const std::vector<uint64_t> want = {StockKey(2, 5), StockKey(2, 3),
+                                      StockKey(2, 9), StockKey(2, 1),
+                                      StockKey(2, 7)};
+  EXPECT_EQ(DistinctStockKeys(lines, 2), want);
+  EXPECT_TRUE(DistinctStockKeys(std::vector<Line>{}, 2).empty());
+}
+
 TEST_F(TpccTest, ConcurrentNewOrdersPrematurelyAbort) {
   TpccParams p;
   p.type = TpccTxnType::kNewOrder;
