@@ -2,14 +2,16 @@
 // version-chain reads at varying depths, version creation and commit,
 // hot-row (banking fee account) transfers on one and two threads, cold-row
 // churn and the arena memory it holds, heap allocations per TPC-C commit
-// under each conflict policy, predicate matching with and without the
-// attribute-level short-circuit, validation walks over the
-// recently-committed list, cuckoo-map and ordered-index operations, Zipf
-// sampling and the trading payload cipher.
+// under each conflict policy, the cost of each TPC-C transaction type at
+// spec scale, predicate matching with and without the attribute-level
+// short-circuit, validation walks over the recently-committed list,
+// cuckoo-map and ordered-index operations, Zipf sampling and the trading
+// payload cipher.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -247,6 +249,57 @@ BENCHMARK(BM_TpccAllocs)
     ->Args({1, 0})
     ->Args({0, 1})
     ->Args({1, 1});
+
+/// Cost of one TPC-C transaction type at spec scale (one warehouse, 100k
+/// items, 3000 customers per district, the spec's preloaded orders), run
+/// serially under MV3C (arg 0 = 0) or OMVCC (arg 0 = 1). Arg 1 is the
+/// type: 0 New-Order, 1 Payment, 2 Order-Status, 3 Delivery, 4 Stock-Level.
+/// The whole standard mix runs, so the database and the caches stay as a
+/// mix leaves them (Delivery alone would drain the new-order queue in a
+/// few thousand runs); one benchmark iteration runs the mix up to the next
+/// transaction of the chosen type. `us_per_commit` times only the
+/// executor's runs of that type and divides by their commits, so aborted
+/// New-Orders count as cost. Each instance loads its own database (about
+/// a second).
+void BM_TpccTxn(benchmark::State& state) {
+  const ConflictPolicy engine = state.range(0) == 0 ? ConflictPolicy::kRepair
+                                                    : ConflictPolicy::kRestart;
+  const auto type = static_cast<tpcc::TpccTxnType>(state.range(1));
+  const tpcc::TpccScale scale;
+  TransactionManager mgr;
+  tpcc::TpccDb db(&mgr, scale);
+  db.Load(3);
+  tpcc::TpccGenerator gen(scale, 5);
+  Mv3cExecutor exec(&mgr, {}, engine);
+  uint64_t commits = 0;
+  uint64_t txns = 0;
+  std::chrono::nanoseconds busy{0};
+  for (auto _ : state) {
+    bool timed = false;
+    while (!timed) {
+      const tpcc::TpccParams p = gen.Next();
+      timed = p.type == type;
+      auto program = tpcc::TpccProgram(db, p);
+      const auto start = std::chrono::steady_clock::now();
+      const StepResult r = exec.Run(std::move(program));
+      if (timed) {
+        busy += std::chrono::steady_clock::now() - start;
+        if (r == StepResult::kCommitted) ++commits;
+      }
+      if (++txns % 1024 == 0) {
+        mgr.CollectGarbage();
+        db.CleanupNewOrderQueue();
+      }
+    }
+  }
+  state.counters["us_per_commit"] =
+      std::chrono::duration<double, std::micro>(busy).count() /
+      static_cast<double>(commits == 0 ? 1 : commits);
+}
+BENCHMARK(BM_TpccTxn)
+    ->ArgNames({"omvcc", "type"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PredicateMatch(benchmark::State& state) {
   const bool attr = state.range(0) != 0;
