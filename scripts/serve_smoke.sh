@@ -1,43 +1,57 @@
 #!/usr/bin/env bash
 # Serving-stack smoke/integration check (DESIGN §5k): starts mv3c_serve,
-# drives bench/loadgen open-loop against it over localhost, scrapes
-# /metrics and /healthz over HTTP, and asserts the server's Prometheus
-# txn_committed counter equals the number of committed acks the loadgen
-# observed — the end-to-end proof that no commit is double-counted, lost,
-# or acked without running.
+# drives it over localhost with servebench's sb_client (0.5 s warmup, an
+# open-loop slo step at RATE, then a closed-loop sat step), and checks
+# every step with the served-path benchmark's own checks
+# (servebench/benchlib.py):
+#   check_clean       no unanswered request, protocol error, dead
+#                     connection or bad request; every send reached the
+#                     socket
+#   check_accounting  the client's committed answers == the server's
+#                     txn_committed delta == the engine's commits delta
+#                     between the step's two /metrics scrapes: no commit is
+#                     double-counted, lost, or acked without running
+#   check_durable     (ack=sync) every committed answer carries the durable
+#                     flag
+# It asserts here only what benchlib does not: /healthz answers "ok", each
+# measured step committed something, under sync the server made at most
+# one durable wait per commit (wal_sync_waits_total <= commits_total:
+# workers wait once per admission batch), and under none and async no
+# committed answer carries the durable flag.
 #
 #   usage: scripts/serve_smoke.sh [build_dir] [workload] [ack] [rate] [secs]
 #                                 [engine]
 #
-#   ack: "none" (default, no WAL), "async", or "sync" (WAL group commit).
-#        Under sync every committed ack must carry the durable flag (the
-#        loadgen counts them), and the server must have made at most one
-#        durable wait per commit (wal_sync_waits_total <= commits_total:
-#        workers wait once per admission batch, DESIGN §5k). Under none
-#        and async no committed ack may carry the flag.
-#   engine: "mv3c" (default) or "omvcc" (the restart conflict policy).
+#   build_dir  the servebench build (default .bench_build/servebench, which
+#              servebench/run.py builds; by hand:
+#                cmake -S servebench -B .bench_build/servebench
+#                cmake --build .bench_build/servebench --target servebench_all)
+#   workload   banking (default), tatp or tpcc, at the server's default
+#              scale, which sb_client's request streams assume
+#   ack        none (default, no WAL), async or sync (WAL group commit)
+#   rate       the slo step's arrival rate, requests/s (default 2000)
+#   secs       length of the slo step and of the sat step (default 3)
+#   engine     mv3c (default) or omvcc (the restart conflict policy)
+#
+# Exits 0 when every check passes, 1 when one fails or the server or the
+# client dies, 77 when a binary is not built.
 set -u
 
-BUILD_DIR="${1:-build}"
+BUILD_DIR="${1:-.bench_build/servebench}"
 WL="${2:-banking}"
 ACK="${3:-none}"
 RATE="${4:-2000}"
 SECS="${5:-3}"
 ENGINE="${6:-mv3c}"
 
-SERVE="$BUILD_DIR/src/server/mv3c_serve"
-LOADGEN="$BUILD_DIR/bench/loadgen"
-for bin in "$SERVE" "$LOADGEN"; do
+SERVE="$BUILD_DIR/mv3c/src/server/mv3c_serve"
+CLIENT="$BUILD_DIR/sb_client"
+for bin in "$SERVE" "$CLIENT"; do
   if [ ! -x "$bin" ]; then
     echo "SKIP: $bin not built" >&2
     exit 77
   fi
 done
-
-case "$WL" in
-  tpcc) SCALE=1 ;;
-  *)    SCALE=20000 ;;
-esac
 
 TMP="$(mktemp -d)"
 serve_pid=""
@@ -48,8 +62,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-serve_args=(--workload="$WL" --engine="$ENGINE" --workers=4 --scale="$SCALE"
-            --port=0)
+serve_args=(--workload="$WL" --engine="$ENGINE" --workers=4 --port=0)
 if [ "$ACK" != none ]; then
   mkdir -p "$TMP/wal"
   serve_args+=(--wal --wal-dir="$TMP/wal" --ack="$ACK")
@@ -75,71 +88,76 @@ if [ -z "$PORT" ]; then
 fi
 echo "mv3c_serve up: workload=$WL engine=$ENGINE ack=$ACK port=$PORT" >&2
 
-# Warmup 0 so the loadgen's committed count covers *every* request it sent
-# — that is what makes exact equality against the server counter possible.
-if ! "$LOADGEN" --port="$PORT" --workload="$WL" --scale="$SCALE" \
-     --rate="$RATE" --seconds="$SECS" --warmup-seconds=0 \
-     --drain-seconds=5 --connections=4 > "$TMP/loadgen.out" 2>&1; then
-  echo "FAIL: loadgen exited nonzero" >&2
-  cat "$TMP/loadgen.out" >&2
+if ! "$CLIENT" --port="$PORT" --workload="$WL" --rate="$RATE" \
+     --slo-s="$SECS" --sat-s="$SECS" --out="$TMP/client"; then
+  echo "FAIL: sb_client exited nonzero" >&2
   exit 1
 fi
-cat "$TMP/loadgen.out" >&2
 
-python3 - "$TMP/loadgen.out" "$PORT" "$ACK" <<'EOF'
+python3 -B - "$(dirname "$0")/../servebench" "$TMP/client" "$PORT" "$ACK" \
+    <<'EOF'
 import json
 import sys
 import urllib.request
 
-with open(sys.argv[1]) as f:
-    runjson = [l for l in f if l.startswith("RUNJSON ")]
-assert len(runjson) == 1, f"expected 1 RUNJSON line, got {len(runjson)}"
-run = json.loads(runjson[0][len("RUNJSON "):])
-port = sys.argv[2]
-ack = sys.argv[3]
+sys.path.insert(0, sys.argv[1])
+import benchlib  # noqa: E402
 
-health = urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=10)
-assert health.status == 200 and health.read().strip() == b"ok", "healthz"
+out, port, ack = sys.argv[2:5]
+with open(out + ".json") as f:
+    summary = json.load(f)
+scrapes = []
+for k in range(3):
+    with open("%s.scrape%d.txt" % (out, k)) as f:
+        scrapes.append(benchlib.parse_prom(f.read()))
+recs = {}
+for step in ("slo", "sat"):
+    with open("%s.%s.rec" % (out, step), "rb") as f:
+        recs[step] = benchlib.parse_records(f.read())
 
-metrics = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-scraped = {}
-for line in metrics.splitlines():
-    if line.startswith("#") or not line:
-        continue
-    name, _, value = line.rpartition(" ")
-    scraped[name.split("{")[0]] = float(value)
-
-committed = int(scraped["mv3c_server_txn_committed_total"])
-assert run["unanswered"] == 0, f"loadgen lost {run['unanswered']} responses"
-assert committed == run["committed"], (
-    f"server committed {committed} != loadgen acked-committed "
-    f"{run['committed']}")
-# The engine's own commit counter (published per-worker snapshots) must
-# agree with the front-end's atomic counter.
-engine = int(scraped.get("mv3c_engine_commits_total", -1))
-assert engine == committed, f"engine commits {engine} != server {committed}"
-assert run["committed"] > 0, "nothing committed"
+# The server is fresh, so the warmup step starts from zero counters.
+before = [{}] + scrapes
+errors = []
+for k, step in enumerate(("warmup", "slo", "sat")):
+    errors += benchlib.check_clean(step, summary[step])
+    errors += benchlib.check_accounting(step, summary[step], before[k],
+                                        scrapes[k])
+for step in ("slo", "sat"):
+    if not summary[step]["committed"]:
+        errors.append("%s: nothing committed" % step)
+    if ack == "sync":
+        errors += ["%s: %s" % (step, e)
+                   for e in benchlib.check_durable(recs[step])]
+    else:
+        flagged = sum(1 for f in benchlib.committed_column(recs[step], "flags")
+                      if f & benchlib.FLAG_DURABLE)
+        if flagged:
+            errors.append("%s: %d committed answers claim durability under "
+                          "ack=%s" % (step, flagged, ack))
 if ack == "sync":
-    assert run["durable"] == run["committed"], (
-        f"{run['committed'] - run['durable']} of {run['committed']} "
-        f"committed acks lack the durable flag")
-    waits = int(scraped["mv3c_engine_wal_sync_waits_total"])
-    assert waits <= engine, (
-        f"wal_sync_waits_total {waits} > commits_total {engine}")
-    print(f"OK: {run['durable']} durable acks == committed; "
-          f"{waits} durable waits for {engine} commits")
-else:
-    assert run["durable"] == 0, (
-        f"{run['durable']} committed acks claim durability under ack={ack}")
-print(f"OK: {run['committed']} commits acked == scraped "
-      f"mv3c_server_txn_committed_total == mv3c_engine_commits_total; "
-      f"shed_fraction={run['shed_fraction']:.4f} "
-      f"p99={run['p99_us']:.0f}us")
+    waits = scrapes[2]["mv3c_engine_wal_sync_waits_total"]
+    commits = scrapes[2]["mv3c_engine_commits_total"]
+    if waits > commits:
+        errors.append("wal_sync_waits_total %d > commits_total %d"
+                      % (waits, commits))
+
+health = urllib.request.urlopen("http://127.0.0.1:%s/healthz" % port,
+                                timeout=10)
+if health.status != 200 or health.read().strip() != b"ok":
+    errors.append("/healthz did not answer ok")
+
+for e in errors:
+    print("CHECK FAILED: " + e, file=sys.stderr)
+for step in ("warmup", "slo", "sat"):
+    s = summary[step]
+    print("%s: %d issued, %d committed, %d gave up, %d exhausted answers"
+          % (step, s["issued"], s["committed"], s["gave_up"], s["exhausted"]),
+          file=sys.stderr)
+sys.exit(1 if errors else 0)
 EOF
 status=$?
 if [ $status -ne 0 ]; then
-  echo "FAIL: metrics equality check" >&2
+  echo "FAIL: serve_smoke checks" >&2
   exit 1
 fi
 echo "PASS: serve_smoke $WL engine=$ENGINE ack=$ACK" >&2

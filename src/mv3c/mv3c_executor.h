@@ -218,9 +218,7 @@ class Mv3cExecutor {
 
   Mv3cTransaction& txn() { return txn_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  const Mv3cStats& stats() const {
-    return const_cast<Mv3cExecutor*>(this)->txn_.stats();
-  }
+  const Mv3cStats& stats() const { return txn_.stats(); }
   Timestamp last_commit_ts() const { return last_commit_ts_; }
   /// WAL epoch the last commit's redo records were tagged with; 0 when
   /// nothing was logged (read-only, or no WAL). The executor never waits

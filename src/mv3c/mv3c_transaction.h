@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -57,6 +56,7 @@ class Mv3cTransaction {
   Transaction& inner() { return inner_; }
   TransactionManager* manager() const { return mgr_; }
   Mv3cStats& stats() { return stats_; }
+  const Mv3cStats& stats() const { return stats_; }
   bool repairs() const { return policy_ == ConflictPolicy::kRepair; }
 
   // ----------------------------------------------------------------------
@@ -124,19 +124,21 @@ class Mv3cTransaction {
       ScanTable(table, filter, &entries);
       return closure(*this, entries);
     }
-    auto state = std::make_shared<ScanState<TableT>>();
+    // The node owns the result set by value: a repair round patches it in
+    // place (§4.2), and no heap object lives beside the node.
     auto eval = [this, &table, filter, closure = std::move(closure),
-                 state](PredicateBase* self) -> ExecStatus {
-      if (self->reuse_result_set() && state->populated) {
-        FixResultSet(table, self, filter, state.get());
+                 entries = std::vector<ScanEntry<TableT>>(),
+                 populated = false](PredicateBase* self) mutable
+        -> ExecStatus {
+      if (self->reuse_result_set() && populated) {
+        FixResultSet(table, self, filter, &entries);
       } else {
-        ScanTable(table, filter, &state->entries);
-        state->populated = true;
+        ScanTable(table, filter, &entries);
+        populated = true;
       }
       self->conflict_versions().clear();
-      return RunClosure(self, [&](Mv3cTransaction& t) {
-        return closure(t, state->entries);
-      });
+      return RunClosure(
+          self, [&](Mv3cTransaction& t) { return closure(t, entries); });
     };
     using NodeT = Node<RowFilterCriterion<TableT>, decltype(eval)>;
     NodeT* p = pool_.Create<NodeT>(std::move(eval), &table, filter);
@@ -168,14 +170,13 @@ class Mv3cTransaction {
       ScanIndex(index, lo, hi, filter, limit, reverse, &entries);
       return closure(*this, entries);
     }
-    auto state = std::make_shared<ScanState<TableT>>();
     auto eval = [this, &index, lo, hi, filter, limit, reverse,
                  closure = std::move(closure),
-                 state](PredicateBase* self) -> ExecStatus {
-      ScanIndex(index, lo, hi, filter, limit, reverse, &state->entries);
-      return RunClosure(self, [&](Mv3cTransaction& t) {
-        return closure(t, state->entries);
-      });
+                 entries = std::vector<ScanEntry<TableT>>()](
+                    PredicateBase* self) mutable -> ExecStatus {
+      ScanIndex(index, lo, hi, filter, limit, reverse, &entries);
+      return RunClosure(
+          self, [&](Mv3cTransaction& t) { return closure(t, entries); });
     };
     using NodeT = Node<KeyRangeCriterion<TableT, SecKey>, decltype(eval)>;
     NodeT* p = pool_.Create<NodeT>(std::move(eval), &table, lo, hi, extract,
@@ -483,12 +484,6 @@ class Mv3cTransaction {
   }
 
  private:
-  template <typename TableT>
-  struct ScanState {
-    std::vector<ScanEntry<TableT>> entries;
-    bool populated = false;
-  };
-
   void AttachToGraph(PredicateBase* node) {
     table_buckets_dirty_ = true;
     node->set_parent(current_parent_);
@@ -564,7 +559,7 @@ class Mv3cTransaction {
   void FixResultSet(TableT& table, PredicateBase* p,
                     const std::function<bool(const typename TableT::Row&)>&
                         filter,
-                    ScanState<TableT>* state) {
+                    std::vector<ScanEntry<TableT>>* entries) {
     ++stats_.result_set_fixes;
     std::unordered_set<DataObjectBase*> touched;
     for (const VersionBase* cv : p->conflict_versions()) {
@@ -575,16 +570,16 @@ class Mv3cTransaction {
       const auto* v = obj->ReadVisible(inner_.start_ts(), inner_.txn_id());
       const bool in_set = v != nullptr && filter(v->data());
       auto it = std::find_if(
-          state->entries.begin(), state->entries.end(),
+          entries->begin(), entries->end(),
           [obj](const ScanEntry<TableT>& e) { return e.object == obj; });
       if (in_set) {
-        if (it != state->entries.end()) {
+        if (it != entries->end()) {
           it->row = v->data();
         } else {
-          state->entries.push_back({obj, v->data()});
+          entries->push_back({obj, v->data()});
         }
-      } else if (it != state->entries.end()) {
-        state->entries.erase(it);
+      } else if (it != entries->end()) {
+        entries->erase(it);
       }
     }
   }

@@ -17,11 +17,12 @@
 //               own headers)
 // A response:   ResponseHeader only.
 //
-// The protocol is deliberately host-endian, like the WAL: the loadgen and
-// the server are expected to run on the same architecture; this is a
-// benchmark serving stack, not an interchange format. Anything that does
-// not parse — wrong magic, oversized length, CRC mismatch, a torn header —
-// closes the connection; there is no resynchronization state to corrupt.
+// The protocol is deliberately host-endian, like the WAL: the load
+// generator (servebench's sb_client) and the server are expected to run
+// on the same architecture; this is a benchmark serving stack, not an
+// interchange format. Anything that does not parse — wrong magic,
+// oversized length, CRC mismatch, a torn header — closes the connection;
+// there is no resynchronization state to corrupt.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,20 +12,6 @@ namespace {
 
 constexpr ColumnMask kAllCols = ColumnMask::All();
 
-/// The latest committed row of a record, or nullptr; only valid when the
-/// caller tolerates an instantaneous snapshot (consistency checks).
-template <typename K, typename Row>
-const Row* LatestRow(const DataObject<K, Row>* obj, Row*) {
-  if (obj == nullptr) return nullptr;
-  const auto* v = obj->ReadVisible(kTxnIdBase - 1, 0);
-  return v == nullptr ? nullptr : &v->data();
-}
-template <typename K, typename Row>
-const Row* LatestRow(const sv::Record<K, Row>* rec, Row* buf) {
-  if (rec == nullptr || sv::IsAbsent(rec->ReadStable(buf))) return nullptr;
-  return buf;
-}
-
 /// How the loader puts rows into a store. `Run(fill)` loads one batch:
 /// `fill(put)` calls `put(table, key, row)` for each row and gets the
 /// row's object back, for the secondary indexes. An MVCC batch is one
@@ -684,11 +670,12 @@ ExecStatus DeliveryBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
 }
 
 template <typename Txn>
-ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
+ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p,
+                          int* out) {
   return t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id),
       ColumnMask::Of(kColDNextOid),
-      [&db, p](Txn& t, auto*, const DistrictRow* d) -> ExecStatus {
+      [&db, p, out](Txn& t, auto*, const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         const uint64_t next_o = d->next_o_id;
         const uint64_t lo_o = next_o > 20 ? next_o - 20 : 1;
@@ -698,7 +685,7 @@ ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
             OrderLineKey(p->w_id, p->d_id, next_o - 1, kMaxOrderLines - 1),
             [](const uint64_t& key, const OrderLineRow&) { return key; },
             nullptr, ColumnMask::Of(kColOlInfo), 0, false,
-            [&db, p](Txn& t, const auto& lines) -> ExecStatus {
+            [&db, p, out](Txn& t, const auto& lines) -> ExecStatus {
               const std::vector<uint64_t> keys =
                   DistinctStockKeys(lines, p->w_id);
               db.stock.Prefetch(keys.data(), keys.size());
@@ -716,6 +703,7 @@ ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
                     });
                 if (st != ExecStatus::kOk) return st;
               }
+              if (out != nullptr) *out = low_stock;
               return ExecStatus::kOk;
             });
       });
@@ -725,11 +713,12 @@ ExecStatus StockLevelBody(Txn& t, Db<Txn>& db, const TpccParams* p) {
 
 template <typename Txn>
 std::function<ExecStatus(Txn&)> TpccProgram(BasicTpccDb<Txn>& db,
-                                            const TpccParams& p) {
+                                            const TpccParams& p,
+                                            int* stock_level_out) {
   // The program lambda owns the parameter copy; closures built by the
   // bodies capture a pointer to it, which stays valid across repair rounds
   // and restarts (the std::function outlives the transaction attempt).
-  return [&db, p](Txn& t) -> ExecStatus {
+  return [&db, p, stock_level_out](Txn& t) -> ExecStatus {
     switch (p.type) {
       case TpccTxnType::kNewOrder:
         return NewOrderBody(t, db, &p);
@@ -740,7 +729,7 @@ std::function<ExecStatus(Txn&)> TpccProgram(BasicTpccDb<Txn>& db,
       case TpccTxnType::kDelivery:
         return DeliveryBody(t, db, &p);
       case TpccTxnType::kStockLevel:
-        return StockLevelBody(t, db, &p);
+        return StockLevelBody(t, db, &p, stock_level_out);
     }
     MV3C_CHECK(false);
     return ExecStatus::kUserAbort;
@@ -827,9 +816,9 @@ bool CheckConsistency(BasicTpccDb<Txn>& db, std::string* why) {
 template class BasicTpccDb<Mv3cTransaction>;
 template class BasicTpccDb<sv::SvTransaction>;
 template std::function<ExecStatus(Mv3cTransaction&)> TpccProgram(
-    TpccDb&, const TpccParams&);
+    TpccDb&, const TpccParams&, int*);
 template std::function<ExecStatus(sv::SvTransaction&)> TpccProgram(
-    SingleVersionTpccDb&, const TpccParams&);
+    SingleVersionTpccDb&, const TpccParams&, int*);
 template bool CheckConsistency(TpccDb&, std::string*);
 template bool CheckConsistency(SingleVersionTpccDb&, std::string*);
 

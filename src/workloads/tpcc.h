@@ -513,10 +513,27 @@ class TpccGenerator {
 
 /// The TPC-C program for `p`, one body per transaction type for all four
 /// engines: MV3C and OMVCC run it on Mv3cTransaction (repair or restart
-/// policy), OCC and SILO on sv::SvTransaction.
+/// policy), OCC and SILO on sv::SvTransaction. A Stock-Level program
+/// writes its answer (the number of distinct low-stock items) to
+/// `stock_level_out` when that is not null, once, after its lookups.
 template <typename Txn>
 std::function<ExecStatus(Txn&)> TpccProgram(BasicTpccDb<Txn>& db,
-                                            const TpccParams& p);
+                                            const TpccParams& p,
+                                            int* stock_level_out = nullptr);
+
+/// The latest committed row of a record, or nullptr; only valid when the
+/// caller tolerates an instantaneous snapshot (consistency checks).
+template <typename K, typename Row>
+const Row* LatestRow(const DataObject<K, Row>* obj, Row*) {
+  if (obj == nullptr) return nullptr;
+  const auto* v = obj->ReadVisible(kTxnIdBase - 1, 0);
+  return v == nullptr ? nullptr : &v->data();
+}
+template <typename K, typename Row>
+const Row* LatestRow(const sv::Record<K, Row>* rec, Row* buf) {
+  if (rec == nullptr || sv::IsAbsent(rec->ReadStable(buf))) return nullptr;
+  return buf;
+}
 
 /// TPC-C consistency conditions (spec clause 3.3.2, subset): used by tests
 /// after workload runs, on a quiescent database. Returns false and fills

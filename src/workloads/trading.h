@@ -267,9 +267,9 @@ class TradingGenerator {
       : TradingGenerator(db.n_securities(), db.n_customers(), alpha,
                          trade_order_percent, seed) {}
 
-  /// Db-free overload for remote clients (bench/loadgen.cc) that generate
-  /// requests against a server-hosted database they cannot see; only the
-  /// population sizes matter.
+  /// Db-free overload for callers that generate requests without the
+  /// database at hand (tools/metrics_dump.cc); only the population sizes
+  /// matter.
   TradingGenerator(uint64_t n_securities, uint64_t n_customers, double alpha,
                    int trade_order_percent, uint64_t seed)
       : zipf_(n_securities, alpha),

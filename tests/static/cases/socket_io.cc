@@ -1,7 +1,6 @@
 // Lint-rule case (no_raw_io_outside_wal): a socket send() from engine
-// code is NOT on the allowlist — only src/server/ and the loadgen may
-// talk to the network. Planted at src/mvcc/shadow_socket.cc; the rule
-// must fire.
+// code is NOT on the allowlist — only src/server/ may talk to the
+// network. Planted at src/mvcc/shadow_socket.cc; the rule must fire.
 #include <sys/socket.h>
 
 int LeakBytes(int fd, const void* data, unsigned n) {

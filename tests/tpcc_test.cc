@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "driver/thread_driver.h"
 #include "driver/window_driver.h"
 #include "occ/occ_engine.h"
+#include "silo/silo_engine.h"
 #include "sv/sv_executor.h"
 #include "workloads/tpcc.h"
 
@@ -175,6 +177,86 @@ TEST(TpccStockLevelTest, DistinctStockKeysKeepFirstSeenOrder) {
                                       StockKey(2, 7)};
   EXPECT_EQ(DistinctStockKeys(lines, 2), want);
   EXPECT_TRUE(DistinctStockKeys(std::vector<Line>{}, 2).empty());
+}
+
+// Stock-Level's answer by brute force on a quiescent database: the
+// distinct items of the district's last 20 orders whose stock quantity is
+// below the threshold.
+template <typename Db>
+int BruteForceStockLevel(Db& db, uint64_t w, uint64_t d, int32_t threshold) {
+  DistrictRow dbuf;
+  OrderLineRow lbuf;
+  StockRow sbuf;
+  const uint64_t next_o =
+      LatestRow(db.districts.Find(DistrictKey(w, d)), &dbuf)->next_o_id;
+  std::set<uint64_t> items;
+  for (uint64_t o = next_o > 20 ? next_o - 20 : 1; o < next_o; ++o) {
+    for (uint64_t ol = 0; ol < kMaxOrderLines; ++ol) {
+      const OrderLineRow* l =
+          LatestRow(db.order_lines.Find(OrderLineKey(w, d, o, ol)), &lbuf);
+      if (l != nullptr) items.insert(l->i_id);
+    }
+  }
+  int low = 0;
+  for (const uint64_t i : items) {
+    const StockRow* s = LatestRow(db.stock.Find(StockKey(w, i)), &sbuf);
+    if (s != nullptr && s->quantity < threshold) ++low;
+  }
+  return low;
+}
+
+// Runs a seeded mix (which moves stock quantities and adds orders), then
+// checks every district's Stock-Level answer against the brute force.
+template <typename Db, typename Executor>
+void ExpectStockLevelMatchesBruteForce(Db& db, Executor& e) {
+  TpccGenerator gen(db.scale(), 11);
+  for (int i = 0; i < 300; ++i) {
+    const StepResult r = e.Run(TpccProgram(db, gen.Next()));
+    ASSERT_TRUE(r == StepResult::kCommitted || r == StepResult::kUserAborted);
+  }
+  int total = 0;
+  for (uint64_t d = 1; d <= db.scale().n_districts; ++d) {
+    for (const int32_t threshold : {10, 15, 20}) {
+      TpccParams p;
+      p.type = TpccTxnType::kStockLevel;
+      p.w_id = 1;
+      p.d_id = d;
+      p.threshold = threshold;
+      int got = -1;
+      ASSERT_EQ(e.Run(TpccProgram(db, p, &got)), StepResult::kCommitted);
+      EXPECT_EQ(got, BruteForceStockLevel(db, 1, d, threshold))
+          << "district " << d << " threshold " << threshold;
+      total += got;
+    }
+  }
+  EXPECT_GT(total, 0) << "no low-stock item: the check compares zeros";
+}
+
+TEST(TpccStockLevelTest, AnswerMatchesBruteForceOnEveryEngine) {
+  for (const ConflictPolicy policy : {ConflictPolicy::kRepair, kOmvcc}) {
+    SCOPED_TRACE(policy == kOmvcc ? "omvcc" : "mv3c");
+    TransactionManager mgr;
+    TpccDb db(&mgr, TestScale());
+    db.Load(7);
+    Mv3cExecutor e(&mgr, {}, policy);
+    ExpectStockLevelMatchesBruteForce(db, e);
+  }
+  {
+    SCOPED_TRACE("occ");
+    SingleVersionTpccDb db(TestScale());
+    db.Load(7);
+    OccEngine engine;
+    SvExecutor<OccEngine> e(&engine);
+    ExpectStockLevelMatchesBruteForce(db, e);
+  }
+  {
+    SCOPED_TRACE("silo");
+    SingleVersionTpccDb db(TestScale());
+    db.Load(7);
+    SiloEngine engine;
+    SvExecutor<SiloEngine> e(&engine);
+    ExpectStockLevelMatchesBruteForce(db, e);
+  }
 }
 
 TEST_F(TpccTest, ConcurrentNewOrdersPrematurelyAbort) {
