@@ -11,18 +11,16 @@ namespace failpoint {
 
 /// Deterministic failpoint injection for the MVCC substrate.
 ///
-/// Named failpoints are compiled into the hot paths of the engines
-/// (version-chain push, pre-validation, the in-lock delta validation of
+/// Named failpoints sit in the hot paths of the engines (version-chain
+/// push, pre-validation, the in-lock delta validation of
 /// TryCommit/TryCommitExclusive, Retimestamp, GC reclamation, cuckoo-map
-/// insert). When the build enables them (`-DMV3C_FAILPOINTS=ON`), a site can
-/// be *armed* with an action and a firing probability; evaluation is driven
-/// by a single seeded xoshiro PRNG, so one seed reproduces the exact fault
-/// schedule on a single-threaded driver (the reproducibility contract the
-/// chaos tests rely on). When the build disables them (the default), the
-/// `MV3C_FAILPOINT(site)` macro compiles to a constant `false` and the hot
-/// paths carry zero cost.
+/// insert, WAL and checkpoint I/O) in every build. A site can be *armed*
+/// at run time with an action and a firing probability;
+/// evaluation is driven by a single seeded xoshiro PRNG, so one seed
+/// reproduces the exact fault schedule on a single-threaded driver (the
+/// reproducibility contract the chaos tests rely on).
 ///
-/// Disarmed-but-compiled-in cost is one relaxed atomic load of a bitmask.
+/// A disarmed site costs one relaxed atomic load of a bitmask (`Evaluate`).
 
 /// Compiled-in failpoint sites. Each names one hot-path location.
 enum class Site : uint8_t {
@@ -105,12 +103,6 @@ struct Config {
   uint64_t max_trips = 0;
 };
 
-#if defined(MV3C_FAILPOINTS_ENABLED)
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
-
 /// Reseeds the PRNG and clears all arming state, trip counters, and the
 /// schedule hash. Call at the start of every chaos run.
 void Reset(uint64_t seed);
@@ -180,13 +172,5 @@ class ScopedArm {
 
 }  // namespace failpoint
 }  // namespace mv3c
-
-/// The hot-path hook. Compiles to a constant `false` (no code, no branch
-/// after constant folding) unless the build defines MV3C_FAILPOINTS_ENABLED.
-#if defined(MV3C_FAILPOINTS_ENABLED)
-#define MV3C_FAILPOINT(site) (::mv3c::failpoint::Evaluate(site))
-#else
-#define MV3C_FAILPOINT(site) (false)
-#endif
 
 #endif  // MV3C_COMMON_FAILPOINT_H_

@@ -68,7 +68,8 @@ class CuckooMap {
     const uint64_t h = HashOf(key);
     bool injected_retry = false;
     while (true) {
-      if (!injected_retry && MV3C_FAILPOINT(failpoint::Site::kCuckooInsert)) {
+      if (!injected_retry &&
+          failpoint::Evaluate(failpoint::Site::kCuckooInsert)) {
         // Injected spurious restart: behave as if a concurrent resize
         // invalidated the optimistic snapshot, exercising the retry path
         // without needing a real racing resize. One shot per call so an

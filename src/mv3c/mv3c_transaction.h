@@ -311,8 +311,10 @@ class Mv3cTransaction {
   /// conflict means a restart from scratch, so reporting one is always
   /// safe; the site is only consulted when the pass was clean.
   bool InjectConflict(failpoint::Site site, bool clean) {
-    if (repairs()) return MV3C_FAILPOINT(site) && ForceInvalidatePredicate();
-    if (!clean || !MV3C_FAILPOINT(site)) return false;
+    if (repairs()) {
+      return failpoint::Evaluate(site) && ForceInvalidatePredicate();
+    }
+    if (!clean || !failpoint::Evaluate(site)) return false;
     ++stats_.failpoint_trips;
     return true;
   }

@@ -96,7 +96,7 @@ class DataObjectBase {
   PushResult Push(VersionBase* v, WwPolicy policy, Timestamp start_ts,
                   Timestamp txn_id, Timestamp trim_cut, RetireFn&& retire)
       MV3C_EXCLUDES(chain_lock_) {
-    if (MV3C_FAILPOINT(failpoint::Site::kVersionChainPush)) {
+    if (failpoint::Evaluate(failpoint::Site::kVersionChainPush)) {
       // Injected spurious contention failure: indistinguishable from a
       // genuine write-write conflict, so the caller's rollback-and-restart
       // path handles it and serializability is unaffected.

@@ -70,7 +70,7 @@ class GarbageCollector {
   /// Frees retired nodes whose era is strictly below `safe_before` (the
   /// oldest active start timestamp). Returns the number of nodes freed.
   size_t Collect(Timestamp safe_before) {
-    if (MV3C_FAILPOINT(failpoint::Site::kGcReclaim)) {
+    if (failpoint::Evaluate(failpoint::Site::kGcReclaim)) {
       // Injected lagging collector: skip this reclamation round so retired
       // nodes pile up, stressing the grace-period safety of every reader
       // standing on an unlinked version.

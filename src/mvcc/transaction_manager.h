@@ -217,7 +217,7 @@ class TransactionManager {
     // Delay/yield injection point: widens the window between a failed
     // pre-validation and the repair round so concurrent commits can slip
     // in (the repeated-invalidation schedule the chaos tests force).
-    (void)MV3C_FAILPOINT(failpoint::Site::kRetimestamp);
+    (void)failpoint::Evaluate(failpoint::Site::kRetimestamp);
     // Pre-validation reads rc_head, which a committer links before its
     // hwm store. If it covered such a record, hwm + 1 is still below the
     // record's commit timestamp: a start drawn now would not see the

@@ -297,7 +297,7 @@ void VersionArena::RetireSlab(Slab* slab) {
                    owner->slabs_retired_.load(std::memory_order_relaxed));
   owner->slabs_retired_.fetch_add(1, std::memory_order_relaxed);
   PoisonRange(slab->payload(), slab->capacity);
-  if (MV3C_FAILPOINT(failpoint::Site::kGcReclaim)) {
+  if (failpoint::Evaluate(failpoint::Site::kGcReclaim)) {
     // Injected lagging collector at slab granularity: park the slab on the
     // deferred list instead of recycling, stressing the drain paths
     // (DrainDeferred, the next retirement, teardown).

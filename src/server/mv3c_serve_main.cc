@@ -9,12 +9,17 @@
 // ephemeral port), which is what scripts/serve_smoke.sh and the CI
 // integration job parse.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "server/server.h"
 
@@ -54,6 +59,25 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   std::exit(2);
 }
 
+// The value of a numeric flag: the whole of `v` must be a non-negative
+// number that fits T. Anything else (empty, a sign, a non-digit, trailing
+// characters, out of range) prints the usage and exits 2.
+template <typename T>
+T ParseNumber(const char* argv0, const char* flag, const std::string& v) {
+  T n{};
+  const char* end = v.data() + v.size();
+  const auto [p, ec] = std::from_chars(v.data(), end, n);
+  bool ok = !v.empty() && ec == std::errc() && p == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(n) && n >= 0;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s: bad value '%s'\n", flag, v.c_str());
+    Usage(argv0);
+  }
+  return n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,25 +92,24 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "--bind", &v)) {
       opts.bind_addr = v;
     } else if (ParseFlag(a, "--port", &v)) {
-      opts.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
+      opts.port = ParseNumber<uint16_t>(argv[0], "--port", v);
     } else if (ParseFlag(a, "--workers", &v)) {
-      opts.host.workers = std::strtoul(v.c_str(), nullptr, 10);
+      opts.host.workers = ParseNumber<size_t>(argv[0], "--workers", v);
     } else if (ParseFlag(a, "--scale", &v)) {
-      opts.host.scale = std::strtoull(v.c_str(), nullptr, 10);
+      opts.host.scale = ParseNumber<uint64_t>(argv[0], "--scale", v);
     } else if (ParseFlag(a, "--queue-depth", &v)) {
-      opts.queue_depth = std::strtoul(v.c_str(), nullptr, 10);
+      opts.queue_depth = ParseNumber<size_t>(argv[0], "--queue-depth", v);
     } else if (ParseFlag(a, "--batch", &v)) {
-      opts.batch = std::strtoul(v.c_str(), nullptr, 10);
+      opts.batch = ParseNumber<size_t>(argv[0], "--batch", v);
     } else if (ParseFlag(a, "--client-rate", &v)) {
-      opts.client_rate = std::strtod(v.c_str(), nullptr);
+      opts.client_rate = ParseNumber<double>(argv[0], "--client-rate", v);
     } else if (ParseFlag(a, "--client-burst", &v)) {
-      opts.client_burst = std::strtod(v.c_str(), nullptr);
+      opts.client_burst = ParseNumber<double>(argv[0], "--client-burst", v);
     } else if (ParseFlag(a, "--round-cap", &v)) {
-      opts.host.round_cap =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      opts.host.round_cap = ParseNumber<uint32_t>(argv[0], "--round-cap", v);
     } else if (ParseFlag(a, "--service-delay-us", &v)) {
       opts.host.service_delay_us =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+          ParseNumber<uint32_t>(argv[0], "--service-delay-us", v);
     } else if (std::strcmp(a, "--wal") == 0) {
       opts.host.wal = true;
     } else if (ParseFlag(a, "--ack", &v)) {
@@ -102,7 +125,7 @@ int main(int argc, char** argv) {
       opts.host.wal_dir = v;
     } else if (ParseFlag(a, "--wal-partitions", &v)) {
       opts.host.wal_partitions =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+          ParseNumber<uint32_t>(argv[0], "--wal-partitions", v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       Usage(argv[0]);

@@ -60,6 +60,17 @@ Server::Server(ServerOptions opts)
 Server::~Server() { Stop(); }
 
 bool Server::Start() {
+  // Options that leave the server unable to answer: no worker, a zero pop
+  // batch (PopBatch(0) is empty, so every worker would leave its loop at
+  // once), no admission slot, or a WAL with no stream (0 would fall back to
+  // MV3C_WAL_PARTITIONS).
+  if (opts_.host.workers == 0 || opts_.batch == 0 || opts_.queue_depth == 0 ||
+      (opts_.host.wal && opts_.host.wal_partitions == 0)) {
+    std::fprintf(stderr,
+                 "workers, batch, queue depth and WAL partitions must be "
+                 "at least 1\n");
+    return false;
+  }
   host_ = MakeWorkloadHost(opts_.host);
   if (host_ == nullptr) return false;
   queue_ = std::make_unique<AdmissionQueue>(opts_.queue_depth);

@@ -60,7 +60,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Loads the workload, binds, listens, and spawns the I/O and worker
-  /// threads. Returns false (with a message on stderr) on any failure.
+  /// threads. Returns false (with a message on stderr) on any failure, and
+  /// before loading anything when a worker count, batch, queue depth or
+  /// (with the WAL on) partition count is 0.
   bool Start();
 
   /// Drains admitted requests, flushes what can be flushed, closes every

@@ -68,7 +68,7 @@ class SvExecutor {
       // An injected validation failure must be decided *before* Commit
       // runs: a successful Commit installs the write set, after which
       // pretending failure would double-apply the writes on retry.
-      if (MV3C_FAILPOINT(failpoint::Site::kSvCommitValidate)) {
+      if (failpoint::Evaluate(failpoint::Site::kSvCommitValidate)) {
         ++stats_.failpoint_trips;
       } else {
         obs::ScopedPhaseTimer timer(timed_metrics_, obs::Phase::kCommit);

@@ -70,7 +70,7 @@ bool WriteFileDurably(const std::string& path,
   const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (fd < 0) return false;
   bool ok = WriteFully(fd, bytes.data(), bytes.size());
-  if (ok && MV3C_FAILPOINT(failpoint::Site::kCkptFsyncFail)) ok = false;
+  if (ok && failpoint::Evaluate(failpoint::Site::kCkptFsyncFail)) ok = false;
   if (ok) ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
@@ -196,14 +196,14 @@ bool Checkpointer::RunRound() {
   // crashed log means the suffix guarantee is gone: abort unpublished.
   if (!lm_->FlushNow()) return false;
 
-  if (MV3C_FAILPOINT(failpoint::Site::kCkptCrashBeforeManifest)) {
+  if (failpoint::Evaluate(failpoint::Site::kCkptCrashBeforeManifest)) {
     return false;
   }
   if (!PublishManifest(seq, entries, cut_epoch)) return false;
   published_seq_.store(seq, std::memory_order_release);
   ++next_seq_;
 
-  if (MV3C_FAILPOINT(
+  if (failpoint::Evaluate(
           failpoint::Site::kCkptCrashAfterManifestBeforeTruncate)) {
     return false;
   }
@@ -241,7 +241,7 @@ bool Checkpointer::WriteTableSegment(const std::string& dir_path,
 
   auto flush_chunk = [&] {
     if (chunk.empty() || !ok) return;
-    if (MV3C_FAILPOINT(failpoint::Site::kCkptCrashMidSegment)) {
+    if (failpoint::Evaluate(failpoint::Site::kCkptCrashMidSegment)) {
       // Torn segment write: half the pending bytes reach the disk, then
       // the "machine" dies. No manifest will reference this file; recovery
       // must never load it.
@@ -266,7 +266,7 @@ bool Checkpointer::WriteTableSegment(const std::string& dir_path,
     if (chunk.size() >= kChunkBytes) flush_chunk();
   });
   flush_chunk();
-  if (ok && MV3C_FAILPOINT(failpoint::Site::kCkptFsyncFail)) ok = false;
+  if (ok && failpoint::Evaluate(failpoint::Site::kCkptFsyncFail)) ok = false;
   if (ok) ok = ::fsync(fd) == 0;
   ::close(fd);
   if (!ok) return false;

@@ -447,7 +447,7 @@ bool LogManager::FlushPartition(Partition& p, uint64_t epoch,
   const size_t total = sizeof(h) + p.payload.size();
   size_t write_bytes = total;
   bool injected_torn = false;
-  if (MV3C_FAILPOINT(failpoint::Site::kWalShortWrite)) {
+  if (failpoint::Evaluate(failpoint::Site::kWalShortWrite)) {
     // Torn write: half the block reaches the disk, then the "machine"
     // dies. Recovery must stop this stream at this block.
     write_bytes /= 2;
@@ -455,13 +455,13 @@ bool LogManager::FlushPartition(Partition& p, uint64_t epoch,
   }
   if (!WriteBlock(p.fd, h, p.payload, write_bytes)) return false;
   if (injected_torn) return false;
-  if (MV3C_FAILPOINT(failpoint::Site::kWalCrashAfterAppend)) {
+  if (failpoint::Evaluate(failpoint::Site::kWalCrashAfterAppend)) {
     // Crash between append and fsync: the block's bytes may survive (they
     // did reach the file) but were never acknowledged — recovery may
     // legitimately return either side of this epoch.
     return false;
   }
-  if (MV3C_FAILPOINT(failpoint::Site::kWalFsyncFail)) {
+  if (failpoint::Evaluate(failpoint::Site::kWalFsyncFail)) {
     ++p.round_fsync_failures;
     return false;
   }

@@ -2,10 +2,7 @@
 // that serializability (Theorem 2.1), money conservation, the GC grace-
 // period invariants, and the retry-policy budget all survive injected
 // validation failures, spurious write-write conflicts, lagging garbage
-// collection, and scheduling perturbation. With MV3C_FAILPOINTS=OFF the
-// arming calls are inert and the suite degenerates to a plain
-// serializability stress (still worth running); injection-specific
-// assertions are gated on failpoint::kEnabled.
+// collection, and scheduling perturbation.
 
 #include <gtest/gtest.h>
 
@@ -166,12 +163,8 @@ TEST(ChaosSerializabilityTest, HundredSeededBankingRunsStaySerializable) {
     if (::testing::Test::HasFatalFailure()) break;
   }
   fp::Reset(0);
-  if (fp::kEnabled) {
-    // The chaos schedule must actually have injected faults.
-    EXPECT_GT(total_trips, 0u);
-  } else {
-    EXPECT_EQ(total_trips, 0u);
-  }
+  // The chaos schedule must actually have injected faults.
+  EXPECT_GT(total_trips, 0u);
   // With §4.3 escalation enabled every transaction is guaranteed to commit
   // long before the 64-round budget.
   EXPECT_EQ(total_exhausted, 0u);
@@ -194,12 +187,10 @@ TEST(ChaosSerializabilityTest, SameSeedReproducesScheduleAndStats) {
   EXPECT_EQ(a.stats.failpoint_trips, b.stats.failpoint_trips);
   EXPECT_EQ(a.stats.exclusive_repairs, b.stats.exclusive_repairs);
   EXPECT_EQ(a.balances, b.balances);
-  if (fp::kEnabled) {
-    EXPECT_GT(a.stats.failpoint_trips, 0u);
-    // And a different seed produces a different schedule.
-    const ChaosOutcome c = RunBankingChaos(43, /*n_txns=*/500, /*window=*/8);
-    EXPECT_NE(a.schedule_hash, c.schedule_hash);
-  }
+  EXPECT_GT(a.stats.failpoint_trips, 0u);
+  // And a different seed produces a different schedule.
+  const ChaosOutcome c = RunBankingChaos(43, /*n_txns=*/500, /*window=*/8);
+  EXPECT_NE(a.schedule_hash, c.schedule_hash);
   fp::Reset(0);
 }
 
@@ -236,9 +227,7 @@ TEST(ChaosSerializabilityTest, TradingChaosRunRemainsConsistent) {
     Mv3cStats stats;
     for (Mv3cExecutor* e : driver.executors()) stats.Add(e->stats());
     EXPECT_LE(stats.max_rounds, ChaosConfig().max_attempts);
-    if (fp::kEnabled) {
-      EXPECT_GT(stats.failpoint_trips, 0u);
-    }
+    EXPECT_GT(stats.failpoint_trips, 0u);
     mgr.CollectGarbage();
     mgr.gc().CollectAll();
     EXPECT_EQ(mgr.gc().PendingCount(), 0u);
@@ -308,10 +297,8 @@ TEST(ChaosSerializabilityTest, SlabRetirementChaosDrainsDeferred) {
     fp::DisarmAll();
     EXPECT_EQ(r.committed + r.user_aborted + r.exhausted, kTxns);
     EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
-    if (fp::kEnabled) {
-      // The hot schedule must actually have parked slabs at some point.
-      EXPECT_GT(mgr.arena().snapshot().retirements_deferred, 0u);
-    }
+    // The hot schedule must actually have parked slabs at some point.
+    EXPECT_GT(mgr.arena().snapshot().retirements_deferred, 0u);
     mgr.CollectGarbage();
     mgr.gc().CollectAll();
     EXPECT_EQ(mgr.gc().PendingCount(), 0u);

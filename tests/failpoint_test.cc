@@ -1,9 +1,8 @@
 // Tests for the robustness layer: the starvation-free retry policy
 // (common/retry_policy.h) and the deterministic failpoint framework
 // (common/failpoint.h). The framework tests drive failpoint::Evaluate()
-// directly, so they run in every build; the engine-injection tests need the
-// MV3C_FAILPOINT() hooks compiled in (-DMV3C_FAILPOINTS=ON) and skip
-// themselves otherwise.
+// directly; the engine-injection tests arm the sites the engines evaluate
+// on their hot paths.
 
 #include <gtest/gtest.h>
 
@@ -88,7 +87,7 @@ TEST(RetryControllerTest, JitteredBackoffIsDeterministicPerSeed) {
   EXPECT_EQ(a.backoff_us_total(), b.backoff_us_total());
 }
 
-// --- Failpoint framework (Evaluate() is compiled in every build) ---
+// --- Failpoint framework ---
 
 class FailpointFrameworkTest : public ::testing::Test {
  protected:
@@ -171,16 +170,11 @@ TEST_F(FailpointFrameworkTest, EverySiteHasAName) {
   }
 }
 
-// --- Engine-level injection (needs -DMV3C_FAILPOINTS=ON) ---
+// --- Engine-level injection ---
 
 class InjectionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fp::kEnabled) {
-      GTEST_SKIP() << "failpoint hooks compiled out (MV3C_FAILPOINTS=OFF)";
-    }
-    fp::Reset(/*seed=*/7);
-  }
+  void SetUp() override { fp::Reset(/*seed=*/7); }
   void TearDown() override { fp::DisarmAll(); }
 
   static constexpr int64_t kAccounts = 16;

@@ -19,6 +19,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -383,6 +384,32 @@ banking::TransferParams MakeTransfer(int64_t from, int64_t to) {
   return p;
 }
 
+// Options that leave the server unable to answer are refused before the
+// host loads or any thread starts.
+TEST(ServerIntegrationTest, StartRefusesOptionsThatCannotAnswer) {
+  std::vector<std::pair<const char*, ServerOptions>> cases;
+  ServerOptions o = SmallBankingOptions();
+  o.host.workers = 0;
+  cases.emplace_back("workers=0", o);
+  o = SmallBankingOptions();
+  o.batch = 0;
+  cases.emplace_back("batch=0", o);
+  o = SmallBankingOptions();
+  o.queue_depth = 0;
+  cases.emplace_back("queue_depth=0", o);
+  o = SmallBankingOptions();
+  o.host.wal = true;
+  o.host.wal_dir = testing::TempDir() + "/serve_zero_partitions";
+  o.host.wal_partitions = 0;
+  cases.emplace_back("wal_partitions=0", o);
+  for (const auto& [name, opts] : cases) {
+    SCOPED_TRACE(name);
+    Server server(opts);
+    EXPECT_FALSE(server.Start());
+    EXPECT_EQ(server.host(), nullptr) << "the host loaded anyway";
+  }
+}
+
 TEST(ServerIntegrationTest, PingTransferAndBadOpcode) {
   Server server(SmallBankingOptions());
   ASSERT_TRUE(server.Start());
@@ -585,7 +612,6 @@ TEST(ServerIntegrationTest, OverloadShedsBoundedWithRetryAfter) {
   ASSERT_TRUE(server.Start());
   TestClient c(server.port());
 
-#if defined(MV3C_FAILPOINTS_ENABLED)
   // With failpoints armed some admitted transactions burn repair/retry
   // rounds before committing — overload shedding must hold regardless.
   failpoint::Reset(42);
@@ -593,7 +619,6 @@ TEST(ServerIntegrationTest, OverloadShedsBoundedWithRetryAfter) {
                            {.action = failpoint::Action::kFail,
                             .probability = 0.2,
                             .max_trips = 64});
-#endif
 
   // ~4x capacity for one second: 200 requests in one burst (the queue
   // holds 16 + 2 in flight; the rest must shed immediately).
@@ -748,7 +773,6 @@ TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
 // but the log crashed before it became durable: its response must not
 // claim durability, and neither may any later commit's.
 TEST(ServerWalTest, FailedFsyncCommitsComeBackWithoutDurableFlag) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
   ServerOptions o = SmallBankingOptions();
   o.host.wal = true;
   o.host.sync_ack = true;
@@ -809,9 +833,9 @@ std::vector<uint8_t> TransferBatch(uint64_t first_id, uint64_t n) {
 
 // The flag is set only once the batch's largest epoch is durable: every
 // flagged commit's epoch is at or below the durable epoch by the time its
-// response can be read. With failpoints on, every flush round stalls 5 ms
-// before its fsync, so a response flagged without waiting would arrive
-// long before its epoch turns durable.
+// response can be read. The fsync failpoint is armed to stall every flush
+// round 5 ms before its fsync, so a response flagged without waiting would
+// arrive long before its epoch turns durable.
 TEST(ServerWalTest, BatchedCommitsAreFlaggedOnlyOnceTheirEpochIsDurable) {
   Server server(OneWorkerSyncWalOptions("batched"));
   ASSERT_TRUE(server.Start());
@@ -854,7 +878,6 @@ TEST(ServerWalTest, BatchedCommitsAreFlaggedOnlyOnceTheirEpochIsDurable) {
 // A batch whose shared durable wait fails (the fsync of its epoch fails and
 // the log crashes) answers every one of its commits without the flag.
 TEST(ServerWalTest, FailedFsyncBatchComesBackWithoutDurableFlag) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
   Server server(OneWorkerSyncWalOptions("batch_fsync_fail"));
   ASSERT_TRUE(server.Start());
   failpoint::Reset(13);
@@ -875,8 +898,9 @@ TEST(ServerWalTest, FailedFsyncBatchComesBackWithoutDurableFlag) {
   server.Stop();
 }
 
-// Stalls every WAL flush round for `delay_us` before its fsync.
-failpoint::Config SlowFsync(uint32_t delay_us) {
+// Busy-waits `delay_us` at the site it arms; at kWalFsyncFail it stalls
+// every WAL flush round before its fsync.
+failpoint::Config Stall(uint32_t delay_us) {
   failpoint::Config c;
   c.action = failpoint::Action::kDelay;
   c.delay_us = delay_us;
@@ -890,7 +914,7 @@ TEST(ServerWalTest, LoneRequestIsAnsweredWithoutASecondArrival) {
   Server server(OneWorkerSyncWalOptions("lone"));
   ASSERT_TRUE(server.Start());
   failpoint::Reset(17);
-  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, Stall(5000));
   TestClient c(server.port());
   c.SendRaw(TransferBatch(1, 1));
   const std::vector<ResponseHeader> rs = c.ReadResponses(1, 2000);
@@ -905,14 +929,20 @@ TEST(ServerWalTest, LoneRequestIsAnsweredWithoutASecondArrival) {
 // response arrives more requests have committed than one batch holds.
 // A worker that waits before popping again answers N with at most
 // opts.batch commits done, and the next commit lands >= 1 ms later.
+// The first transaction's first write stalls 20 ms, so the I/O thread has
+// queued every request by the time the worker pops again, even on a
+// loaded host; without it the worker can find the queue still empty and
+// answer its first batch at once.
 TEST(ServerWalTest, NextBatchCommitsBeforeTheParkedBatchIsAnswered) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "needs -DMV3C_FAILPOINTS=ON";
   ServerOptions o = OneWorkerSyncWalOptions("overlap");
   o.batch = 4;
   Server server(o);
   ASSERT_TRUE(server.Start());
   failpoint::Reset(19);
-  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, Stall(5000));
+  failpoint::Config first_write = Stall(20000);
+  first_write.max_trips = 1;
+  failpoint::ScopedArm stall(failpoint::Site::kVersionChainPush, first_write);
   constexpr uint64_t kN = 12;
   TestClient c(server.port());
   c.SendRaw(TransferBatch(1, kN));
@@ -945,7 +975,7 @@ TEST(ServerWalTest, StopAnswersTheParkedBatch) {
   Server server(o);
   ASSERT_TRUE(server.Start());
   failpoint::Reset(23);
-  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, SlowFsync(5000));
+  failpoint::ScopedArm arm(failpoint::Site::kWalFsyncFail, Stall(5000));
   constexpr uint64_t kN = 12;
   TestClient c(server.port());
   c.SendRaw(TransferBatch(1, kN));

@@ -7,8 +7,7 @@
 // commit), and the reclaim trim-floor protocol that protects lock-free
 // Begins from concurrent trimming. The concurrency cases are the TSan
 // targets of the tsan-timestamp-contract CI job; failpoint injection
-// (kRetimestamp delay, kGcReclaim) widens the racy windows when the build
-// has failpoints compiled in.
+// (kRetimestamp delay, kGcReclaim) widens the racy windows.
 
 #include <gtest/gtest.h>
 
@@ -176,17 +175,15 @@ TEST(TimestampContract, PinSnapshotExcludesLaterCommits) {
 /// every thread must be globally unique; no commit may equal any observed
 /// start.
 TEST(TimestampContract, HwmPublicationIsMonotoneAcrossThreads) {
-  if (fp::kEnabled) {
-    fp::Reset(0x7155);
-    fp::Config delay;
-    delay.action = fp::Action::kDelay;
-    delay.delay_us = 3;
-    delay.probability = 0.2;
-    fp::Arm(fp::Site::kRetimestamp, delay);
-    fp::Config reclaim;
-    reclaim.probability = 0.25;
-    fp::Arm(fp::Site::kGcReclaim, reclaim);
-  }
+  fp::Reset(0x7155);
+  fp::Config delay;
+  delay.action = fp::Action::kDelay;
+  delay.delay_us = 3;
+  delay.probability = 0.2;
+  fp::Arm(fp::Site::kRetimestamp, delay);
+  fp::Config reclaim;
+  reclaim.probability = 0.25;
+  fp::Arm(fp::Site::kGcReclaim, reclaim);
   TransactionManager mgr;
   TestTable table("t", 256);
   {
@@ -273,7 +270,7 @@ TEST(TimestampContract, HwmPublicationIsMonotoneAcrossThreads) {
   stop.store(true, std::memory_order_relaxed);
   for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
   mgr.CollectGarbage();
-  if (fp::kEnabled) fp::DisarmAll();
+  fp::DisarmAll();
   mgr.CollectGarbage();
 
   // No commit-TID reuse, lane stamping, start/commit disjointness.
@@ -313,12 +310,10 @@ TEST(TimestampContract, HwmPublicationIsMonotoneAcrossThreads) {
 /// truncator could cut the newest-committed-below-start version out from
 /// under a beginner between its hwm read and its slot registration.
 TEST(TimestampContract, TruncationNeverStrandsAReader) {
-  if (fp::kEnabled) {
-    fp::Reset(0x7156);
-    fp::Config reclaim;
-    reclaim.probability = 0.25;
-    fp::Arm(fp::Site::kGcReclaim, reclaim);
-  }
+  fp::Reset(0x7156);
+  fp::Config reclaim;
+  reclaim.probability = 0.25;
+  fp::Arm(fp::Site::kGcReclaim, reclaim);
   TransactionManager mgr;
   TestTable table("t", 64);
   {
@@ -365,7 +360,7 @@ TEST(TimestampContract, TruncationNeverStrandsAReader) {
   writer.join();
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
-  if (fp::kEnabled) fp::DisarmAll();
+  fp::DisarmAll();
   mgr.CollectGarbage();
   mgr.CollectGarbage();
 }

@@ -172,9 +172,6 @@ TEST_F(VersionArenaTest, CreateSiblingAllocatesFromTheSameArena) {
 }
 
 TEST_F(VersionArenaTest, FailpointDefersRetirementUntilDrain) {
-  if (!fp::kEnabled) {
-    GTEST_SKIP() << "built with -DMV3C_FAILPOINTS=OFF";
-  }
   fp::Reset(/*seed=*/3);
   VersionArena arena;
   std::vector<PackedObj*> objs;

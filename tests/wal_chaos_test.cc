@@ -7,8 +7,7 @@
 // checkpointer: a crash at any point of a checkpoint round (mid-segment,
 // before the manifest, after the manifest but before truncation, fsync
 // failure) must leave recovery on a consistent prefix, and a half-written
-// checkpoint must never be preferred over an older valid one. Requires
-// -DMV3C_FAILPOINTS=ON; skips otherwise.
+// checkpoint must never be preferred over an older valid one.
 
 #include <cstdint>
 #include <filesystem>
@@ -36,9 +35,6 @@ constexpr int64_t kTotal = kAccounts * kInitial;
 class WalChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!fp::kEnabled) {
-      GTEST_SKIP() << "failpoint hooks compiled out (MV3C_FAILPOINTS=OFF)";
-    }
     dir_ = fs::path(::testing::TempDir()) /
            ("wal_chaos_" +
             std::string(
@@ -48,7 +44,7 @@ class WalChaosTest : public ::testing::Test {
     fp::Reset(0xC4A05'5EEDull);
   }
   void TearDown() override {
-    if (fp::kEnabled) fp::DisarmAll();
+    fp::DisarmAll();
     fs::remove_all(dir_);
   }
 
