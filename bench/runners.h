@@ -26,19 +26,13 @@
 
 namespace mv3c::bench {
 
-/// All MV3C runs use the paper's §4.3 heuristic: after this many failed
-/// validation rounds the repair executes inside the commit critical
-/// section and the transaction is guaranteed to commit, bounding the
-/// number of validation rounds a transaction can burn under extreme
-/// contention ("a heuristic is to apply this optimization after N rounds
-/// of validation failures"). OMVCC runs ignore it.
-inline constexpr int kExclusiveRepairAfter = 3;
-
 /// The two MVCC engines the figures compare.
 inline constexpr ConflictPolicy kMv3c = ConflictPolicy::kRepair;
 inline constexpr ConflictPolicy kOmvcc = ConflictPolicy::kRestart;
 
 /// The executor every MVCC run uses: MV3C (kRepair) or OMVCC (kRestart).
+/// MV3C runs use the §4.3 heuristic (kExclusiveRepairAfter); OMVCC runs
+/// ignore it.
 inline std::unique_ptr<Mv3cExecutor> MakeMvccExecutor(
     TransactionManager* mgr, ConflictPolicy engine) {
   RetryPolicy retry;

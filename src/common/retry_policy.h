@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <thread>
 
+#include "common/macros.h"
 #include "common/random.h"
 
 namespace mv3c {
@@ -14,18 +15,19 @@ namespace mv3c {
 ///
 /// MV3C's pitch is graceful recovery from conflict, but recovery that can
 /// loop forever is not graceful: under extreme contention the OCC family
-/// livelocks (CCBench, Tanabe et al., VLDB 2020). This policy bounds every
-/// retry loop and defines the escalation ladder
+/// livelocks (CCBench, Tanabe et al., VLDB 2020). This policy is the one
+/// bound on every retry loop (drivers and the served host step until the
+/// executor stops returning kNeedsRetry) and defines the escalation ladder
 ///
-///   repair -> exclusive repair (§4.3) -> full restart -> give up
+///   repair -> exclusive repair (§4.3) -> give up
 ///
 /// with optional exponential backoff + jitter between rounds. "Give up"
 /// surfaces as StepResult::kExhausted instead of an unbounded spin; the
 /// caller decides whether to re-queue, shed, or report the transaction.
 struct RetryPolicy {
   /// Total failed rounds (validation failures + write-write restarts) a
-  /// transaction may burn before it gives up with kExhausted. 0 disables
-  /// the budget (the pre-policy unbounded behavior; use only in tests).
+  /// transaction may burn before it gives up with kExhausted. Must be
+  /// nonzero: every retry loop ends.
   uint32_t max_attempts = 1024;
 
   /// After this many failed rounds a repair-capable engine escalates to
@@ -33,12 +35,6 @@ struct RetryPolicy {
   /// section, guaranteeing commit on that attempt). Negative disables the
   /// escalation; engines without repair ignore it.
   int exclusive_repair_after = -1;
-
-  /// After this many failed rounds the transaction abandons incremental
-  /// repair and escalates to a full rollback-and-restart (a repair graph
-  /// invalidated over and over is evidence the cached work is worthless).
-  /// 0 disables the escalation; engines without repair ignore it.
-  uint32_t restart_after = 0;
 
   /// First backoff delay in microseconds; 0 disables backoff entirely
   /// (the default: the single-threaded window driver is deterministic and
@@ -49,16 +45,15 @@ struct RetryPolicy {
   /// Seed of the per-controller jitter PRNG; jitter draws are deterministic
   /// per (seed, round), keeping chaos runs reproducible.
   uint64_t jitter_seed = 0x5EEDF00DULL;
-
-  /// Policy with every bound disabled — the historical spin-forever
-  /// behavior, kept for tests that need to observe unbounded retry.
-  static RetryPolicy Unbounded() {
-    RetryPolicy p;
-    p.max_attempts = 0;
-    p.backoff_initial_us = 0;
-    return p;
-  }
 };
+
+/// The paper's §4.3 heuristic, used by the benchmarks, the served host and
+/// the engine pins: after this many failed validation rounds the repair
+/// executes inside the commit critical section and the transaction is
+/// guaranteed to commit ("a heuristic is to apply this optimization after
+/// N rounds of validation failures"). The RetryPolicy default (-1) leaves
+/// the escalation off.
+inline constexpr int kExclusiveRepairAfter = 3;
 
 /// What an executor should do after a failed round.
 enum class RetryDecision {
@@ -66,8 +61,6 @@ enum class RetryDecision {
   kRetry,
   /// Escalate to §4.3 exclusive repair on the next commit attempt.
   kExclusiveRepair,
-  /// Roll back everything and restart from scratch.
-  kRestart,
   /// The attempt budget is exhausted: stop retrying, report kExhausted.
   kGiveUp,
 };
@@ -79,6 +72,7 @@ class RetryController {
  public:
   explicit RetryController(const RetryPolicy& policy = {})
       : policy_(policy), jitter_(policy.jitter_seed) {
+    MV3C_CHECK(policy_.max_attempts != 0);
     Reset();
   }
 
@@ -91,13 +85,8 @@ class RetryController {
   /// backoff is enabled, sleeps here (between rounds, outside any lock).
   RetryDecision OnFailure() {
     ++attempts_;
-    if (policy_.max_attempts != 0 && attempts_ >= policy_.max_attempts) {
-      return RetryDecision::kGiveUp;
-    }
+    if (attempts_ >= policy_.max_attempts) return RetryDecision::kGiveUp;
     Backoff();
-    if (policy_.restart_after != 0 && attempts_ >= policy_.restart_after) {
-      return RetryDecision::kRestart;
-    }
     if (policy_.exclusive_repair_after >= 0 &&
         attempts_ >=
             static_cast<uint32_t>(policy_.exclusive_repair_after)) {

@@ -17,8 +17,9 @@ namespace mv3c {
 /// Multi-threaded driver: a fixed pool of worker threads consumes a queue
 /// of transactions (paper §6.1.1: "a fixed number of worker threads for
 /// handling a queue of transactions"). Each worker owns one executor and
-/// drives each transaction to completion (commit or user abort), retrying
-/// through repair/restart as its engine dictates.
+/// steps each transaction until it commits, aborts or exhausts the
+/// executor's retry budget, retrying through repair/restart as its engine
+/// dictates.
 ///
 /// `Executor` must provide: Reset(Program), Begin(), Step() -> StepResult.
 template <typename Executor>
@@ -28,18 +29,12 @@ class ThreadDriver {
 
   /// `make_executor(worker_id)` creates the per-worker executor;
   /// `program_at(txn_index, worker_id)` generates the i-th transaction.
-  /// Worker 0 runs `maintenance` every ~1024 of its own completions.
-  /// `round_cap` is the driver-level starvation backstop: after that many
-  /// failed rounds the transaction is abandoned via Executor::GiveUp()
-  /// (0 leaves bounding to the executor's own retry policy, which by
-  /// default still caps the loop — this loop is no longer unbounded).
+  /// Worker 0 runs `maintenance` every kMaintenanceEveryCompletions of its
+  /// own completions.
   template <typename MakeExecutor, typename ProgramAt>
   static DriveResult Run(size_t num_threads, uint64_t num_txns,
                          MakeExecutor&& make_executor, ProgramAt&& program_at,
-                         std::function<void()> maintenance = nullptr,
-                         std::vector<std::unique_ptr<Executor>>* out_executors =
-                             nullptr,
-                         uint32_t round_cap = 0) {
+                         std::function<void()> maintenance = nullptr) {
     std::atomic<uint64_t> next{0};
     std::atomic<uint64_t> committed{0}, user_aborted{0}, exhausted{0};
     std::atomic<uint64_t> escalations{0}, max_rounds{0}, steps{0};
@@ -67,10 +62,6 @@ class ThreadDriver {
           if (r != StepResult::kNeedsRetry) break;
           ++rounds;
           ++local_escalations;
-          if (round_cap != 0 && rounds >= round_cap) {
-            r = exec.GiveUp();
-            break;
-          }
         }
         if (rounds > local_max_rounds) local_max_rounds = rounds;
         if (r == StepResult::kCommitted) {
@@ -81,7 +72,7 @@ class ThreadDriver {
           ++local_aborts;
         }
         if (w == 0 && maintenance != nullptr &&
-            ++since_maintenance >= 1024) {
+            ++since_maintenance >= kMaintenanceEveryCompletions) {
           since_maintenance = 0;
           maintenance();
         }
@@ -114,7 +105,6 @@ class ThreadDriver {
     result.max_rounds = max_rounds.load(std::memory_order_relaxed);
     result.steps = steps.load(std::memory_order_relaxed);
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (out_executors != nullptr) *out_executors = std::move(executors);
     return result;
   }
 };

@@ -25,6 +25,10 @@ struct DriveResult {
   double seconds = 0;        // wall-clock time of the run
 };
 
+/// Maintenance cadence shared by every driver and the served host: one
+/// firing per this many completed transactions.
+inline constexpr uint64_t kMaintenanceEveryCompletions = 1024;
+
 /// Window-based simulated concurrency (paper Appendix C).
 ///
 /// Given a window size N, N transactions are picked from the input stream;
@@ -42,8 +46,8 @@ class WindowDriver {
   using Program = typename Executor::Program;
   /// Returns the next transaction program, or nullopt at end of stream.
   using ProgramSource = std::function<std::optional<Program>()>;
-  /// Invoked periodically (once per ~1024 completions) for maintenance
-  /// such as garbage collection.
+  /// Invoked periodically (see the maintenance cadence below) for
+  /// maintenance such as garbage collection.
   using MaintenanceFn = std::function<void()>;
   /// Invoked when a transaction finishes: the stream index it was drawn at,
   /// its outcome, and its executor (e.g. for last_commit_ts()).
@@ -70,7 +74,6 @@ class WindowDriver {
   /// list and the retired-version backlog keep growing). Both counters
   /// reset together on every firing so the two triggers can never stack
   /// into back-to-back GC passes.
-  static constexpr uint64_t kMaintenanceEveryCompletions = 1024;
   static constexpr uint64_t kMaintenanceEverySteps = 2048;
 
   /// Drives the stream to completion and returns aggregate counts,
@@ -117,14 +120,13 @@ class WindowDriver {
         StepResult r = slot.executor->Step();
         if (r == StepResult::kNeedsRetry) {
           // A failed round re-enters the next window. Count it — silent
-          // re-queuing is how starvation hides — and enforce the driver-
-          // level round cap on top of the executor's own attempt budget.
+          // re-queuing is how starvation hides; the executor's retry
+          // budget ends the loop with kExhausted.
           ++slot.rounds;
           ++result.escalations;
           result.max_rounds = std::max<uint64_t>(result.max_rounds,
                                                  slot.rounds);
-          if (round_cap_ == 0 || slot.rounds < round_cap_) continue;
-          r = slot.executor->GiveUp();
+          continue;
         }
         slot.busy = false;
         if (r == StepResult::kCommitted) {
@@ -159,11 +161,6 @@ class WindowDriver {
 
   void set_on_complete(CompletionFn fn) { on_complete_ = std::move(fn); }
 
-  /// Driver-level starvation backstop: after `cap` failed rounds the slot's
-  /// transaction is abandoned via Executor::GiveUp() (counted as exhausted).
-  /// 0 (the default) leaves bounding to the executor's retry policy.
-  void set_round_cap(uint32_t cap) { round_cap_ = cap; }
-
  private:
   struct Slot {
     std::unique_ptr<Executor> executor;
@@ -175,7 +172,6 @@ class WindowDriver {
   std::vector<Slot> slots_;
   MaintenanceFn maintenance_;
   CompletionFn on_complete_;
-  uint32_t round_cap_ = 0;
   uint64_t next_index_ = 0;
 };
 

@@ -35,13 +35,12 @@ namespace mv3c {
 ///
 /// Every failed round consults the RetryController, which walks the
 /// starvation-free escalation ladder (common/retry_policy.h):
-/// repair -> §4.3 exclusive repair -> full restart -> kExhausted. Under
-/// kRestart the ladder degenerates to restart-with-backoff until the
-/// budget runs out. The
-/// budget makes Step() loops terminate even under adversarial contention
-/// or failpoint injection; kExhausted rolls the transaction back and
-/// removes it from the active table, exactly like a user abort, so the
-/// system stays consistent when a transaction is shed.
+/// repair -> §4.3 exclusive repair -> kExhausted. Under kRestart the
+/// ladder degenerates to restart-with-backoff until the budget runs out.
+/// The budget is the only bound on a Step() loop and ends it even under
+/// adversarial contention or failpoint injection. kExhausted rolls the
+/// transaction back and removes it from the active table, exactly like a
+/// user abort, so the system stays consistent when a transaction is shed.
 ///
 /// Version memory on every path here — repair pruning, restart rollback,
 /// abort, exhaustion — flows back to the manager's VersionArena: unlinked
@@ -212,10 +211,6 @@ class Mv3cExecutor {
     MV3C_CHECK(Run(std::move(program)) == StepResult::kCommitted);
   }
 
-  /// Starvation backstop for drivers: abandons the in-flight transaction
-  /// (rollback, leave the active table) and reports kExhausted.
-  StepResult GiveUp() { return FinishExhausted(); }
-
   Mv3cTransaction& txn() { return txn_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
   const Mv3cStats& stats() const { return txn_.stats(); }
@@ -290,8 +285,7 @@ class Mv3cExecutor {
   StepResult FailRound() {
     ++txn_.stats().validation_failures;
     MV3C_TRACE_EVENT(obs::TraceEvent::kValidateFail, txn_.inner().txn_id());
-    const RetryDecision d = NoteFailure();
-    if (d == RetryDecision::kGiveUp) return FinishExhausted();
+    if (NoteFailure() == RetryDecision::kGiveUp) return FinishExhausted();
     if (!txn_.repairs()) {
       // The failed validation already drew the new start timestamp
       // (Retimestamp, or inside the commit critical section): discard
@@ -301,14 +295,7 @@ class Mv3cExecutor {
       phase_ = Phase::kRestart;
       return StepResult::kNeedsRetry;
     }
-    if (d == RetryDecision::kRestart) {
-      // Escalation past repair: the predicate graph kept getting
-      // re-invalidated, so throw it away and re-execute from scratch.
-      ++txn_.stats().escalations;
-      RestartFromScratch();
-    } else {
-      phase_ = Phase::kRepair;
-    }
+    phase_ = Phase::kRepair;
     return StepResult::kNeedsRetry;
   }
 

@@ -49,7 +49,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
       "  --batch=N            worker pop batch (default 16)\n"
       "  --client-rate=R      per-connection token rate/s (0 = unlimited)\n"
       "  --client-burst=B     per-connection token burst (default 64)\n"
-      "  --round-cap=N        per-txn retry/repair round cap (default 64)\n"
       "  --service-delay-us=N deterministic per-request delay (tests)\n"
       "  --wal                enable the write-ahead log\n"
       "  --ack=sync|async     durability ack mode with --wal (default async)\n"
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
       opts.client_rate = ParseNumber<double>(argv[0], "--client-rate", v);
     } else if (ParseFlag(a, "--client-burst", &v)) {
       opts.client_burst = ParseNumber<double>(argv[0], "--client-burst", v);
-    } else if (ParseFlag(a, "--round-cap", &v)) {
-      opts.host.round_cap = ParseNumber<uint32_t>(argv[0], "--round-cap", v);
     } else if (ParseFlag(a, "--service-delay-us", &v)) {
       opts.host.service_delay_us =
           ParseNumber<uint32_t>(argv[0], "--service-delay-us", v);

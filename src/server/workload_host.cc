@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "driver/window_driver.h"
 #include "mv3c/mv3c_executor.h"
 #include "mvcc/transaction_manager.h"
 #include "obs/engine_stats.h"
@@ -21,11 +22,11 @@
 namespace mv3c::server {
 namespace {
 
-/// §4.3 heuristic, same as bench/runners.h kExclusiveRepairAfter; the
-/// OMVCC policy ignores it.
-constexpr int kExclusiveRepairAfter = 3;
-/// Maintenance cadence, mirroring ThreadDriver worker-0 behavior.
-constexpr uint64_t kMaintenanceEvery = 1024;
+/// Failed rounds a served transaction may burn before it is answered
+/// kExhausted. Smaller than the in-process default (1024): sb_client
+/// re-sends exhausted answers, so one request must not hold a worker for
+/// 1024 rounds while the retried copy and the rest of the queue wait.
+constexpr uint32_t kHostRetryBudget = 64;
 
 void BusyWaitUs(uint32_t us) {
   if (us == 0) return;
@@ -53,7 +54,8 @@ class HostBase : public WorkloadHost {
       sync_ack_ = opts_.sync_ack;
     }
     RetryPolicy retry;
-    retry.exclusive_repair_after = kExclusiveRepairAfter;
+    retry.max_attempts = kHostRetryBudget;
+    retry.exclusive_repair_after = kExclusiveRepairAfter;  // OMVCC ignores it
     workers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
       workers_.push_back(std::make_unique<Worker>());
@@ -78,16 +80,12 @@ class HostBase : public WorkloadHost {
     Mv3cExecutor& e = *w.exec;
     e.Reset(std::move(prog));
     e.Begin();
-    Result res;
     StepResult sr;
-    while (true) {
+    do {
       sr = e.Step();
-      if (sr != StepResult::kNeedsRetry) break;
-      if (++res.rounds >= opts_.round_cap) {
-        sr = e.GiveUp();
-        break;
-      }
-    }
+    } while (sr == StepResult::kNeedsRetry);
+    Result res;
+    res.rounds = e.attempts();
     switch (sr) {
       case StepResult::kCommitted:
         res.status = TxnStatus::kCommitted;
@@ -101,7 +99,8 @@ class HostBase : public WorkloadHost {
         res.status = TxnStatus::kExhausted;
         break;
     }
-    if (worker_id == 0 && ++w.completions % kMaintenanceEvery == 0) {
+    if (worker_id == 0 &&
+        ++w.completions % kMaintenanceEveryCompletions == 0) {
       Maintenance();
     }
     return res;

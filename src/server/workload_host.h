@@ -26,8 +26,6 @@ struct HostOptions {
   /// Workload population knob: accounts (banking), subscribers (tatp),
   /// securities/customers (trading), warehouses (tpcc).
   uint64_t scale = 0;  // 0 = per-workload default
-  /// Driver-level starvation backstop, as in ThreadDriver::Run.
-  uint32_t round_cap = 64;
   /// Deterministic per-request busy-wait inside the worker, before the
   /// transaction runs. 0 in production; overload tests use it to pin the
   /// service rate so "4x capacity" is a number, not a race.
@@ -83,8 +81,8 @@ class WorkloadHost {
   /// logged something not yet durable. Callable from any worker thread.
   virtual bool RequestDurable(uint64_t epoch) = 0;
 
-  /// Engine maintenance (GC); the server calls it from worker 0 on the
-  /// ThreadDriver cadence (~1024 completions).
+  /// Engine maintenance (GC); the host calls it from worker 0 on the
+  /// drivers' cadence (kMaintenanceEveryCompletions completions).
   virtual void Maintenance() = 0;
 
   /// Folds worker `worker_id`'s executor registry into its published

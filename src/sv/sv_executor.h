@@ -20,8 +20,10 @@ namespace mv3c {
 /// SILO plug into the same WindowDriver/ThreadDriver as the MVCC engines.
 /// `Engine` provides `bool Commit(sv::SvTransaction&)`; OCC shares one
 /// engine across executors (global validation mutex), SILO takes one per
-/// executor. The retry policy bounds the abort-and-retry loop — precisely
-/// the livelock regime CCBench shows dominating OCC at high contention.
+/// executor. The retry policy is the one bound on the abort-and-retry loop
+/// — precisely the livelock regime CCBench shows dominating OCC at high
+/// contention. Giving up drops the read/write sets, which is a complete
+/// rollback: single-version transactions buffer their writes locally.
 template <typename Engine>
 class SvExecutor {
  public:
@@ -113,16 +115,6 @@ class SvExecutor {
   /// StepResult forces every other Run call site to consume its result.
   void MustRun(Program program) {
     MV3C_CHECK(Run(std::move(program)) == StepResult::kCommitted);
-  }
-
-  /// Starvation backstop for drivers: abandons the in-flight transaction.
-  /// Single-version transactions buffer writes locally, so dropping the
-  /// read/write sets is a complete rollback.
-  StepResult GiveUp() {
-    txn_.Clear();
-    ++stats_.exhausted;
-    MV3C_TRACE_EVENT(obs::TraceEvent::kAbort, seq_);
-    return StepResult::kExhausted;
   }
 
   sv::SvTransaction& txn() { return txn_; }

@@ -52,7 +52,7 @@ void ArmChaosSchedule() {
 
 RetryPolicy ChaosConfig() {
   RetryPolicy config;
-  config.exclusive_repair_after = 3;  // §4.3 heuristic: bounded rounds
+  config.exclusive_repair_after = kExclusiveRepairAfter;  // bounded rounds
   config.max_attempts = 64;
   return config;
 }

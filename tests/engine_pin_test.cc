@@ -63,7 +63,7 @@ void Drive(ConflictPolicy engine, TransactionManager& mgr, uint64_t n,
            MakeProgram&& make_program, std::function<void()> maintenance,
            Outcome* out, size_t window = kWindow) {
   RetryPolicy retry;
-  retry.exclusive_repair_after = 3;  // the benches' §4.3 heuristic
+  retry.exclusive_repair_after = kExclusiveRepairAfter;
   WindowDriver<Mv3cExecutor> driver(
       window,
       [&] { return std::make_unique<Mv3cExecutor>(&mgr, retry, engine); },

@@ -42,24 +42,22 @@ TEST(RetryControllerTest, GivesUpAtAttemptBudget) {
 
 TEST(RetryControllerTest, WalksTheEscalationLadderInOrder) {
   RetryPolicy p;
-  p.max_attempts = 6;
+  p.max_attempts = 4;
   p.exclusive_repair_after = 2;
-  p.restart_after = 4;
   RetryController ctrl(p);
-  // repair -> exclusive repair -> restart -> give up.
+  // repair -> exclusive repair -> give up.
   EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kRetry);            // attempt 1
   EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kExclusiveRepair);  // attempt 2
   EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kExclusiveRepair);  // attempt 3
-  EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kRestart);          // attempt 4
-  EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kRestart);          // attempt 5
-  EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kGiveUp);           // attempt 6
+  EXPECT_EQ(ctrl.OnFailure(), RetryDecision::kGiveUp);           // attempt 4
 }
 
-TEST(RetryControllerTest, UnboundedPolicyNeverGivesUp) {
-  RetryController ctrl(RetryPolicy::Unbounded());
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(ctrl.OnFailure(), RetryDecision::kRetry);
-  }
+// Every retry loop ends: a policy without a budget is refused.
+TEST(RetryControllerDeathTest, ZeroBudgetFailsTheCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RetryPolicy p;
+  p.max_attempts = 0;
+  EXPECT_DEATH(RetryController{p}, "max_attempts");
 }
 
 TEST(RetryControllerTest, ResetClearsAttemptCount) {
@@ -75,7 +73,7 @@ TEST(RetryControllerTest, ResetClearsAttemptCount) {
 
 TEST(RetryControllerTest, JitteredBackoffIsDeterministicPerSeed) {
   RetryPolicy p;
-  p.max_attempts = 0;
+  p.max_attempts = 16;  // every one of the 8 failures below backs off
   p.backoff_initial_us = 1;
   p.backoff_max_us = 8;
   p.jitter_seed = 1234;
@@ -361,19 +359,18 @@ TEST_F(InjectionTest, GcReclaimInjectionDefersButCollectAllDrains) {
   }
 }
 
-// The driver-level round cap abandons a spinning transaction even when the
-// executor's own budget is disabled (the WindowDriver starvation backstop).
-TEST_F(InjectionTest, WindowDriverRoundCapGivesUpSpinningTransactions) {
+// The executor's retry budget ends a spinning transaction inside the
+// WindowDriver: the driver steps until Step() stops returning kNeedsRetry.
+TEST_F(InjectionTest, WindowDriverRetryBudgetGivesUpSpinningTransactions) {
   TransactionManager mgr;
   BankingDb db(&mgr, kAccounts, kInitial);
   db.Load();
   fp::ScopedArm arm(fp::Site::kPrevalidate, fp::Config{});  // always fail
-  RetryPolicy config = RetryPolicy::Unbounded();
-  config.exclusive_repair_after = -1;
+  RetryPolicy config;
+  config.max_attempts = 5;
   WindowDriver<Mv3cExecutor> driver(
       2, [&](...) { return std::make_unique<Mv3cExecutor>(&mgr, config); },
       [&] { mgr.CollectGarbage(); });
-  driver.set_round_cap(5);
   banking::TransferGenerator gen(kAccounts, /*fee_percent=*/100, 11);
   std::vector<TransferParams> stream;
   for (int i = 0; i < 8; ++i) stream.push_back(gen.Next());
@@ -383,8 +380,13 @@ TEST_F(InjectionTest, WindowDriverRoundCapGivesUpSpinningTransactions) {
       }));
   EXPECT_EQ(r.committed, 0u);
   EXPECT_EQ(r.exhausted, stream.size());
-  EXPECT_EQ(r.max_rounds, 5u);
-  EXPECT_EQ(r.escalations, stream.size() * 5);
+  // The fifth failed round returns kExhausted, not kNeedsRetry, so the
+  // driver sees four re-entries per transaction.
+  EXPECT_EQ(r.max_rounds, 4u);
+  EXPECT_EQ(r.escalations, stream.size() * 4);
+  for (Mv3cExecutor* e : driver.executors()) {
+    EXPECT_EQ(e->stats().max_rounds, 5u);
+  }
   EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
 }
 

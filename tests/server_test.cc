@@ -659,6 +659,33 @@ TEST(ServerIntegrationTest, OverloadShedsBoundedWithRetryAfter) {
   server.Stop();
 }
 
+// A transaction that never validates is answered kExhausted once the
+// host's 64-attempt retry budget runs out. OMVCC has no §4.3 exclusive
+// repair to commit it (MV3C would commit at round 3), so every round fails.
+TEST(ServerIntegrationTest, NeverValidatingTransferExhaustsTheHostBudget) {
+  ServerOptions o = SmallBankingOptions();
+  o.host.engine = "omvcc";
+  Server server(o);
+  ASSERT_TRUE(server.Start());
+  TestClient c(server.port());
+  ASSERT_TRUE(c.connected());
+
+  failpoint::Reset(29);
+  failpoint::ScopedArm arm(failpoint::Site::kPrevalidate, {});  // always fail
+  std::vector<uint8_t> wire;
+  AppendRequest(&wire, 1, Op::kBankingTransfer, MakeTransfer(1, 2));
+  c.SendRaw(wire);
+  auto rs = c.ReadResponses(1);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs[0].status, static_cast<uint16_t>(TxnStatus::kExhausted));
+  EXPECT_EQ(rs[0].rounds, 64u);
+  EXPECT_GT(rs[0].retry_after_us, 0u);
+  EXPECT_EQ(rs[0].commit_ts, 0u);
+  EXPECT_EQ(server.stats().txn_exhausted.load(), 1u);
+  EXPECT_EQ(server.stats().txn_committed.load(), 0u);
+  server.Stop();
+}
+
 TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   Server server(SmallBankingOptions());
   ASSERT_TRUE(server.Start());
